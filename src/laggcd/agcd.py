@@ -100,18 +100,6 @@ def reconstruct(
     return RootList(entries)
 
 
-def _subtract(whole: RootList, part: RootList) -> RootList:
-    """Multiset difference of root lists (cofactor = tilde / gcd)."""
-    counts = {}
-    for r, m in whole:
-        counts[r] = counts.get(r, 0) + m
-    for r, m in part:
-        if counts.get(r, 0) < m:
-            raise ValueError("root %r does not divide with multiplicity %d" % (r, m))
-        counts[r] -= m
-    return RootList((r, m) for r, m in counts.items() if m > 0)
-
-
 def _gcd_sample_nodes(gcd: RootList, p: LagrangePoly, q: LagrangePoly) -> np.ndarray:
     """Distinct nodes to carry the materialized GCD: the cluster centers
     plus 0, padded with Chebyshev points of the combined node hull."""
@@ -186,8 +174,9 @@ def approximate_gcd(
     assert gcd.total_multiplicity() == match.total_weight
     assert p_tilde.total_multiplicity() == len(p_report.roots)
     assert q_tilde.total_multiplicity() == len(q_report.roots)
-    cofactor_p = _subtract(p_tilde, gcd)
-    cofactor_q = _subtract(q_tilde, gcd)
+    # the cofactors are the leftovers alone: reconstruct without the GCD
+    cofactor_p = reconstruct(p_clustered, match, "left", RootList())
+    cofactor_q = reconstruct(q_clustered, match, "right", RootList())
 
     dist_p = root_pseudometric(p_report.roots, p_tilde.expand(), rho=rho)
     dist_q = root_pseudometric(q_report.roots, q_tilde.expand(), rho=rho)

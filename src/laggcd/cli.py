@@ -16,10 +16,11 @@ import csv
 import io
 import json
 import sys
+import warnings
 from typing import Optional
 
 from .agcd import AgcdResult, approximate_gcd
-from .cluster import ClusterParams, Strategy, cluster as run_cluster
+from .cluster import ClusterParams, cluster as run_cluster
 from .errors import (
     DegenerateInputError,
     DuplicateNodesError,
@@ -67,21 +68,28 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _problem_params(pf: ProblemFile, args) -> ClusterParams:
-    sigma = args.sigma if args.sigma is not None else pf.sigma
-    sigma_cluster = (
-        args.sigma_cluster
-        if args.sigma_cluster is not None
-        else (pf.sigma_cluster if pf.sigma_cluster is not None else sigma)
-    )
-    strategy = args.strategy or pf.strategy or Strategy.DNC
-    max_mult = args.max_mult or pf.max_multiplicity or 3
-    return ClusterParams(
-        sigma=sigma_cluster,
-        max_multiplicity=max_mult,
-        strategy=strategy,
-        fixpoint=args.fixpoint,
-    )
+def _run_params(args, pf: Optional[ProblemFile] = None):
+    """Base sigma, the {"cluster", "edge", "cert"} sigmas and ClusterParams.
+
+    Each value comes from its flag, else from the problem file; a stage
+    sigma still unset is the base sigma, and any other option still unset
+    keeps its ClusterParams default.
+    """
+    def given(name, default=None):
+        value = getattr(args, name, None)
+        value = getattr(pf, name, None) if value is None else value
+        return default if value is None else value
+
+    sigma = given("sigma")
+    stages = ("cluster", "edge", "cert")
+    sigmas = {stage: given("sigma_" + stage, sigma) for stage in stages}
+    options = {
+        name: given(name)
+        for name in ("max_multiplicity", "strategy", "fuzz_factor")
+        if given(name) is not None
+    }
+    params = ClusterParams(sigma=sigmas["cluster"], fixpoint=args.fixpoint, **options)
+    return sigma, sigmas, params
 
 
 def cmd_roots(args) -> int:
@@ -104,9 +112,10 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def _agcd_json(result: AgcdResult) -> dict:
+def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict) -> dict:
     return {
-        "sigma": _num(result.sigma),
+        "sigma": _num(sigma),
+        "sigmas": {stage: _num(s) for stage, s in sigmas.items()},
         "rho": result.rho,
         "matcher": result.matcher,
         "strategy": result.strategy,
@@ -170,48 +179,29 @@ def repr_complex(z: complex) -> str:
 
 def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
-    params = _problem_params(pf, args)
-    sigma = args.sigma if args.sigma is not None else pf.sigma
-    sigma_edge = (
-        args.sigma_edge if args.sigma_edge is not None else pf.sigma_edge
-    )
-    if sigma_edge is None:
-        sigma_edge = sigma
-    sigma_cert = (
-        args.sigma_cert if args.sigma_cert is not None else pf.sigma_cert
-    )
-    if sigma_cert is None:
-        sigma_cert = sigma
+    sigma, sigmas, params = _run_params(args, pf)
     rho = args.rho or pf.rho or "sum"
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore", UserWarning)  # surfaced via the JSON payload
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # surfaced via the JSON payload
         result = approximate_gcd(
             LagrangePoly(pf.px, pf.py),
             LagrangePoly(pf.qx, pf.qy),
             params,
             matcher=args.matcher,
             rho=rho,
-            sigma_edge=sigma_edge,
-            sigma_cert=sigma_cert,
+            sigma_edge=sigmas["edge"],
+            sigma_cert=sigmas["cert"],
         )
     if args.graph_csv:
         with open(args.graph_csv, "w") as fh:
             fh.write(_graph_csv(result))
-    _emit(json.dumps(_agcd_json(result), indent=2), args.output)
+    _emit(json.dumps(_agcd_json(result, sigma, sigmas), indent=2), args.output)
     return EXIT_OK
 
 
 def cmd_cluster(args) -> int:
     points = load_points(args.file)
-    params = ClusterParams(
-        sigma=args.sigma,
-        max_multiplicity=args.max_mult or 3,
-        fuzz_factor=args.fuzz,
-        strategy=args.strategy or Strategy.DNC,
-        fixpoint=args.fixpoint,
-    )
+    _, _, params = _run_params(args)
     clustered = run_cluster(points, params)
     inputs = list(points.entries)
     buf = io.StringIO()
@@ -234,6 +224,18 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _at_least(convert, least):
+    """argparse type: a number (as `convert` reads it) that is >= least."""
+
+    def number(text: str):
+        value = convert(text)  # a ValueError reads "invalid number value"
+        if not value >= least:  # also rejects nan
+            raise argparse.ArgumentTypeError("must be >= %s, got %s" % (least, text))
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laggcd",
@@ -248,29 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_roots)
 
     p_agcd = sub.add_parser("agcd", help="full approximate-GCD pipeline")
-    p_agcd.add_argument("file")
-    p_agcd.add_argument("--sigma", type=float)
-    p_agcd.add_argument("--sigma-cluster", type=float)
-    p_agcd.add_argument("--sigma-edge", type=float)
-    p_agcd.add_argument("--sigma-cert", type=float)
-    p_agcd.add_argument("--strategy", choices=["dnc", "heuristic"])
-    p_agcd.add_argument("--max-mult", type=int)
+    p_cluster = sub.add_parser("cluster", help="cluster a points file to CSV")
+    for sp, func in ((p_agcd, cmd_agcd), (p_cluster, cmd_cluster)):
+        sp.add_argument("file")
+        sp.add_argument("--sigma", type=_at_least(float, 0), required=sp is p_cluster)
+        sp.add_argument("--strategy", choices=["dnc", "heuristic"])
+        sp.add_argument("--max-mult", dest="max_multiplicity", type=_at_least(int, 1))
+        sp.add_argument("--fixpoint", action="store_true")
+        sp.add_argument("-o", "--output")
+        sp.set_defaults(func=func)
+    for flag in ("--sigma-cluster", "--sigma-edge", "--sigma-cert"):
+        p_agcd.add_argument(flag, type=_at_least(float, 0))
     p_agcd.add_argument("--rho", choices=["sum", "max"])
     p_agcd.add_argument("--matcher", choices=["greedy", "exact"], default="greedy")
-    p_agcd.add_argument("--fixpoint", action="store_true")
     p_agcd.add_argument("--graph-csv", metavar="PATH")
-    p_agcd.add_argument("-o", "--output")
-    p_agcd.set_defaults(func=cmd_agcd)
-
-    p_cluster = sub.add_parser("cluster", help="cluster a points file to CSV")
-    p_cluster.add_argument("file")
-    p_cluster.add_argument("--sigma", type=float, required=True)
-    p_cluster.add_argument("--strategy", choices=["dnc", "heuristic"])
-    p_cluster.add_argument("--max-mult", type=int)
-    p_cluster.add_argument("--fuzz", type=float, default=1.0)
-    p_cluster.add_argument("--fixpoint", action="store_true")
-    p_cluster.add_argument("-o", "--output")
-    p_cluster.set_defaults(func=cmd_cluster)
+    p_cluster.add_argument("--fuzz", dest="fuzz_factor", type=float)
 
     return parser
 

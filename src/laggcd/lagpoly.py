@@ -8,7 +8,6 @@ converts to monomial coefficients.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -25,41 +24,36 @@ DUPLICATE_GAP_RTOL = 1e-12
 NEAR_DUPLICATE_GAP_RTOL = 1e-8
 
 
-def _check_nodes(nodes: np.ndarray) -> None:
-    n = len(nodes)
-    if n < 2:
-        return
-    diff = np.abs(nodes[:, None] - nodes[None, :])
-    iu = np.triu_indices(n, k=1)
-    gaps = diff[iu]
-    spread = gaps.max()
-    if spread == 0.0 or gaps.min() <= DUPLICATE_GAP_RTOL * spread:
-        raise DuplicateNodesError(
-            "nodes must be pairwise distinct (smallest gap %.3e, spread %.3e)"
-            % (gaps.min(), spread)
-        )
-    if gaps.min() < NEAR_DUPLICATE_GAP_RTOL * spread:
-        warnings.warn(
-            "nearly coincident nodes (gap %.3e vs spread %.3e); "
-            "expect poor conditioning" % (gaps.min(), spread),
-            NearDuplicateNodesWarning,
-            stacklevel=3,
-        )
-
-
 def barycentric_weights(nodes) -> np.ndarray:
     """Normalization factors w_k = 1 / prod_{j != k} (x_k - x_j).
 
-    A single node yields [1]. Raises DuplicateNodesError on coincident
-    nodes; warns on dangerously small gaps.
+    A single node yields [1]. The node differences are formed once, both
+    to check the gaps and to take the products: coincident nodes raise
+    DuplicateNodesError, dangerously small gaps warn.
     """
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("nodes must be a non-empty 1-d sequence")
-    _check_nodes(x)
     if len(x) == 1:
         return np.ones(1, dtype=complex)
     diff = x[:, None] - x[None, :]
+    gaps = np.abs(diff)
+    spread = gaps.max()
+    np.fill_diagonal(gaps, spread)  # so that the minimum is over pairs only
+    smallest = gaps.min()
+    if spread == 0.0 or smallest <= DUPLICATE_GAP_RTOL * spread:
+        raise DuplicateNodesError(
+            "nodes must be pairwise distinct (smallest gap %.3e, spread %.3e)"
+            % (smallest, spread)
+        )
+    if smallest < NEAR_DUPLICATE_GAP_RTOL * spread:
+        # attributed to the caller of LagrangePoly, the usual entry point
+        warnings.warn(
+            "nearly coincident nodes (gap %.3e vs spread %.3e); "
+            "expect poor conditioning" % (smallest, spread),
+            NearDuplicateNodesWarning,
+            stacklevel=3,
+        )
     np.fill_diagonal(diff, 1.0)
     return 1.0 / diff.prod(axis=1)
 
@@ -68,7 +62,8 @@ class LagrangePoly:
     """A polynomial given by samples (nodes[k], values[k]) at distinct nodes.
 
     The nominal degree is len(nodes) - 1. Instances are immutable; the
-    barycentric weights are computed lazily and cached.
+    barycentric weights are computed on construction, which also checks
+    the nodes.
     """
 
     def __init__(self, nodes, values):
@@ -78,26 +73,14 @@ class LagrangePoly:
             raise ValueError("nodes and values must be 1-d sequences")
         if len(nodes) != len(values) or len(nodes) == 0:
             raise ValueError("need len(nodes) == len(values) >= 1")
-        _check_nodes(nodes)
-        nodes.flags.writeable = False
-        values.flags.writeable = False
-        self.nodes = nodes
-        self.values = values
+        weights = barycentric_weights(nodes)
+        for arr in (nodes, values, weights):
+            arr.flags.writeable = False
+        self.nodes, self.values, self.weights = nodes, values, weights
 
     @property
     def degree(self) -> int:
         return len(self.nodes) - 1
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        x = self.nodes
-        if len(x) == 1:
-            return np.ones(1, dtype=complex)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        w = 1.0 / diff.prod(axis=1)
-        w.flags.writeable = False
-        return w
 
     def __call__(self, z):
         return evaluate(self, z)

@@ -49,6 +49,12 @@ def _scalar_array(raw, name: str) -> np.ndarray:
     return np.array([parse_scalar(v) for v in raw], dtype=complex)
 
 
+def _tolerance(v, name: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v >= 0:
+        raise ProblemFileError("%s must be a number >= 0, got %r" % (name, v))
+    return float(v)
+
+
 @dataclass
 class ProblemFile:
     px: np.ndarray
@@ -78,12 +84,15 @@ def parse_problem(data: dict) -> ProblemFile:
         raise ProblemFileError("px and py must have equal length >= 2")
     if len(qx) != len(qy) or len(qx) < 2:
         raise ProblemFileError("qx and qy must have equal length >= 2")
-    sigma = data["sigma"]
-    if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or sigma < 0:
-        raise ProblemFileError("sigma must be a number >= 0")
+    sigma = _tolerance(data["sigma"], "sigma")
     overrides = data.get("sigmaOverrides") or {}
     if not isinstance(overrides, dict):
         raise ProblemFileError("sigmaOverrides must be an object")
+    stage = {
+        key: _tolerance(overrides[key], "sigmaOverrides." + key)
+        for key in ("cluster", "edge", "cert")
+        if overrides.get(key) is not None
+    }
     strategy = data.get("strategy")
     if strategy is not None and strategy not in ("dnc", "heuristic"):
         raise ProblemFileError("strategy must be 'dnc' or 'heuristic'")
@@ -98,36 +107,33 @@ def parse_problem(data: dict) -> ProblemFile:
         py=py,
         qx=qx,
         qy=qy,
-        sigma=float(sigma),
+        sigma=sigma,
         strategy=strategy,
         max_multiplicity=max_mult,
         rho=rho,
-        sigma_cluster=overrides.get("cluster"),
-        sigma_edge=overrides.get("edge"),
-        sigma_cert=overrides.get("cert"),
+        sigma_cluster=stage.get("cluster"),
+        sigma_edge=stage.get("edge"),
+        sigma_cert=stage.get("cert"),
     )
 
 
-def load_problem(path: str) -> ProblemFile:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ProblemFileError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError("invalid JSON in %s: %s" % (path, exc)) from exc
-    return parse_problem(data)
+
+
+def load_problem(path: str) -> ProblemFile:
+    return parse_problem(_read_json(path))
 
 
 def load_points(path: str) -> RootList:
     """Points file: JSON array of [root, multiplicity] entries."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ProblemFileError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError("invalid JSON in %s: %s" % (path, exc)) from exc
+    data = _read_json(path)
     if not isinstance(data, list):
         raise ProblemFileError("points file must be a JSON array")
     entries = []

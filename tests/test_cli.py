@@ -147,6 +147,21 @@ class TestAgcd:
         assert not payload["cert_p"]
         assert payload["warnings"]
 
+    def test_payload_reports_base_sigma_and_stage_sigmas(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path,
+            "ov.json",
+            {
+                "px": PX, "py": PY, "qx": QX, "qy": QY, "sigma": 0.5,
+                "sigmaOverrides": {"cluster": 0.01},
+            },
+        )
+        code, out, _ = run(capsys, ["agcd", path])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sigma"] == 0.5
+        assert payload["sigmas"] == {"cluster": 0.01, "edge": 0.5, "cert": 0.5}
+
     def test_rho_max(self, capsys, problem_file):
         code, out, _ = run(capsys, ["agcd", problem_file, "--rho", "max"])
         assert code == 0
@@ -255,3 +270,29 @@ class TestExitCodes:
     def test_bad_points_shape(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", {"points": []})
         assert run(capsys, ["cluster", str(path), "--sigma", "1.0"])[0] == 2
+
+    def test_bad_sigma_override_in_file(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path, "bad.json",
+            {"px": [0, 1], "py": [1, 2], "qx": [0, 1], "qy": [1, 2], "sigma": 0.5,
+             "sigmaOverrides": {"edge": "x"}},
+        )
+        code, _, err = run(capsys, ["agcd", str(path)])
+        assert code == 2
+        assert err.strip().splitlines() == [
+            "error: sigmaOverrides.edge must be a number >= 0, got 'x'"
+        ]
+
+    def test_negative_sigma_flag(self, capsys, problem_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["agcd", problem_file, "--sigma", "-1"])
+        assert exc.value.code == 2
+        assert "error: argument --sigma: must be >= 0" in capsys.readouterr().err
+
+    def test_zero_max_mult_flag(self, capsys, problem_file, tmp_path):
+        points = write_json(tmp_path, "pts.json", [[1.0, 1]])
+        for argv in (["agcd", problem_file], ["cluster", points, "--sigma", "1.0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--max-mult", "0"])
+            assert exc.value.code == 2
+            assert "error: argument --max-mult: must be >= 1" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Node/value representation: weights, evaluation, materialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,32 @@ class TestBarycentricWeights:
             for k in range(n):
                 prod = np.prod(np.delete(nodes, k) * -1 + nodes[k])
                 assert abs(w[k] * prod - 1) <= 1e-10
+
+
+class TestLagrangePolyWeights:
+    def test_weights_match_module_function_bit_for_bit(self, rng):
+        for nodes in (PX, [3.7], rng.uniform(-5, 5, 9) + 1j * rng.uniform(-1, 1, 9)):
+            p = LagrangePoly(nodes, np.ones(len(nodes)))
+            assert np.array_equal(p.weights, barycentric_weights(nodes))
+
+    def test_weights_read_only(self):
+        p = LagrangePoly(PX, PY)
+        assert not p.weights.flags.writeable
+        with pytest.raises(ValueError):
+            p.weights[0] = 0.0
+
+    def test_near_duplicate_warns_once_per_construction(self):
+        nodes = [0.0, 1e-10, 1.0]
+        builds = (
+            lambda: LagrangePoly(nodes, [1.0, 2.0, 3.0]),
+            lambda: from_roots(RootList([(0.5, 1)]), nodes),
+        )
+        for build in builds:
+            for _ in range(2):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    evaluate(build(), 0.5)  # uses the stored weights
+                assert [w.category for w in caught] == [NearDuplicateNodesWarning]
 
 
 class TestEvaluate:
