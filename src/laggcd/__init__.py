@@ -21,6 +21,7 @@ from .errors import (
     DuplicateNodesError,
     EigensolveFailureError,
     InsufficientNodesError,
+    InvalidParameterError,
     LagGcdError,
     LengthMismatchError,
     NearDuplicateNodesWarning,
@@ -64,6 +65,7 @@ __all__ = [
     "Edge",
     "EigensolveFailureError",
     "InsufficientNodesError",
+    "InvalidParameterError",
     "LagGcdError",
     "LagrangePoly",
     "LengthMismatchError",

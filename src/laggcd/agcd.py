@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .cluster import ClusterParams, cluster
-from .errors import ZeroPolynomialError
+from .errors import InvalidParameterError, ZeroPolynomialError
 from .lagpoly import LagrangePoly, RootList, from_roots
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
 from .metric import root_pseudometric
@@ -88,7 +88,7 @@ def reconstruct(
     into `clustered`.
     """
     if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        raise InvalidParameterError("side must be 'left' or 'right'")
     weight_at = {
         (e.left if side == "left" else e.right): e.weight for e in m.edges
     }
@@ -153,7 +153,7 @@ def approximate_gcd(
         if np.max(np.abs(poly.values)) == 0.0:
             raise ZeroPolynomialError("%s is identically zero; GCD undefined" % name)
     if matcher not in ("greedy", "exact"):
-        raise ValueError("matcher must be 'greedy' or 'exact'")
+        raise InvalidParameterError("matcher must be 'greedy' or 'exact'")
 
     p_report = find_roots(p)
     q_report = find_roots(q)

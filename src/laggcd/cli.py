@@ -5,8 +5,9 @@ Subcommands:
     agcd     run the full approximate-GCD pipeline, emit JSON
     cluster  cluster a points file, emit plot-ready CSV
 
-Exit codes: 0 success (including certificate warnings), 2 input/parse
-errors, 3 numerical failures.
+Exit codes: 0 success (including certificate warnings); on a LagGcdError,
+one `error:` line and the error's `exit_code`: 3 for numerical failures,
+2 for bad input or options (as for the arguments argparse rejects).
 """
 
 from __future__ import annotations
@@ -21,30 +22,13 @@ from typing import Optional
 
 from .agcd import AgcdResult, approximate_gcd
 from .cluster import ClusterParams, cluster as run_cluster
-from .errors import (
-    DegenerateInputError,
-    DuplicateNodesError,
-    EigensolveFailureError,
-    InsufficientNodesError,
-    LagGcdError,
-    ProblemFileError,
-)
+from .errors import LagGcdError
 from .lagpoly import LagrangePoly, RootList
-from .problemfile import ProblemFile, load_points, load_problem
+from .problemfile import SIGMA_STAGES, ProblemFile, load_points, load_problem
 from .rootfind import roots as find_roots
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
-
-
-def _num(x: float) -> float:
-    # round-trip through 17 significant digits for a stable serialization
-    return float("%.17g" % x)
-
-
 def _cnum(z: complex):
-    return [_num(z.real), _num(z.imag)]
+    return [float(z.real), float(z.imag)]
 
 
 def _rootlist_json(rl: RootList):
@@ -69,7 +53,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _run_params(args, pf: Optional[ProblemFile] = None):
-    """Base sigma, the {"cluster", "edge", "cert"} sigmas and ClusterParams.
+    """Base sigma, a sigma for each of SIGMA_STAGES, and ClusterParams.
 
     Each value comes from its flag, else from the problem file; a stage
     sigma still unset is the base sigma, and any other option still unset
@@ -81,8 +65,7 @@ def _run_params(args, pf: Optional[ProblemFile] = None):
         return default if value is None else value
 
     sigma = given("sigma")
-    stages = ("cluster", "edge", "cert")
-    sigmas = {stage: given("sigma_" + stage, sigma) for stage in stages}
+    sigmas = {stage: given("sigma_" + stage, sigma) for stage in SIGMA_STAGES}
     options = {
         name: given(name)
         for name in ("max_multiplicity", "strategy", "fuzz_factor")
@@ -102,20 +85,20 @@ def cmd_roots(args) -> int:
     payload = {
         "side": args.side,
         "roots": [
-            {"root": _cnum(r), "residual": _num(float(res))}
+            {"root": _cnum(r), "residual": float(res)}
             for r, res in zip(report.roots, report.residuals)
         ],
         "discarded": report.discarded_count,
         "note": report.backward_note,
     }
     _emit(json.dumps(payload, indent=2), args.output)
-    return EXIT_OK
+    return 0
 
 
 def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict) -> dict:
     return {
-        "sigma": _num(sigma),
-        "sigmas": {stage: _num(s) for stage, s in sigmas.items()},
+        "sigma": sigma,
+        "sigmas": sigmas,
         "rho": result.rho,
         "matcher": result.matcher,
         "strategy": result.strategy,
@@ -141,7 +124,7 @@ def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict) -> dict:
                     "left": _cnum(result.graph.left.entries[e.left][0]),
                     "right": _cnum(result.graph.right.entries[e.right][0]),
                     "weight": e.weight,
-                    "distance": _num(e.distance),
+                    "distance": e.distance,
                 }
                 for e in result.matching.edges
             ],
@@ -150,8 +133,8 @@ def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict) -> dict:
         "q_roots": [_cnum(r) for r in result.q_report.roots],
         "p_clustered": _rootlist_json(result.p_clustered),
         "q_clustered": _rootlist_json(result.q_clustered),
-        "dist_p": _num(result.dist_p),
-        "dist_q": _num(result.dist_q),
+        "dist_p": result.dist_p,
+        "dist_q": result.dist_q,
         "cert_p": result.cert_p,
         "cert_q": result.cert_q,
         "warnings": list(result.warnings),
@@ -181,11 +164,12 @@ def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
     sigma, sigmas, params = _run_params(args, pf)
     rho = args.rho or pf.rho or "sum"
+    p, q = LagrangePoly(pf.px, pf.py), LagrangePoly(pf.qx, pf.qy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # surfaced via the JSON payload
         result = approximate_gcd(
-            LagrangePoly(pf.px, pf.py),
-            LagrangePoly(pf.qx, pf.qy),
+            p,
+            q,
             params,
             matcher=args.matcher,
             rho=rho,
@@ -196,7 +180,7 @@ def cmd_agcd(args) -> int:
         with open(args.graph_csv, "w") as fh:
             fh.write(_graph_csv(result))
     _emit(json.dumps(_agcd_json(result, sigma, sigmas), indent=2), args.output)
-    return EXIT_OK
+    return 0
 
 
 def cmd_cluster(args) -> int:
@@ -221,7 +205,7 @@ def cmd_cluster(args) -> int:
             ]
         )
     _emit(buf.getvalue(), args.output)
-    return EXIT_OK
+    return 0
 
 
 def _at_least(convert, least):
@@ -259,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--fixpoint", action="store_true")
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=func)
-    for flag in ("--sigma-cluster", "--sigma-edge", "--sigma-cert"):
-        p_agcd.add_argument(flag, type=_at_least(float, 0))
+    for stage in SIGMA_STAGES:
+        p_agcd.add_argument("--sigma-" + stage, type=_at_least(float, 0))
     p_agcd.add_argument("--rho", choices=["sum", "max"])
     p_agcd.add_argument("--matcher", choices=["greedy", "exact"], default="greedy")
     p_agcd.add_argument("--graph-csv", metavar="PATH")
@@ -274,15 +258,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, DuplicateNodesError, InsufficientNodesError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (EigensolveFailureError, DegenerateInputError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
     except LagGcdError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

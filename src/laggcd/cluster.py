@@ -18,6 +18,7 @@ from enum import Enum
 from itertools import combinations
 from typing import List, Optional, Tuple
 
+from .errors import InvalidParameterError
 from .lagpoly import RootList
 
 # Heuristic acceptance constants; deliberate engineering defaults, pinned
@@ -46,13 +47,17 @@ class ClusterParams:
     fixpoint: bool = False
 
     def __post_init__(self):
-        self.strategy = Strategy(self.strategy)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.max_multiplicity < 1:
-            raise ValueError("max_multiplicity must be >= 1")
-        if self.fuzz_factor <= 0:
-            raise ValueError("fuzz_factor must be > 0")
+        try:
+            self.strategy = Strategy(self.strategy)
+        except ValueError as exc:  # "'x' is not a valid Strategy"
+            raise InvalidParameterError(str(exc)) from None
+        # written as `not x >= ...` so that NaN fails too
+        if not self.sigma >= 0:
+            raise InvalidParameterError("sigma must be >= 0")
+        if not self.max_multiplicity >= 1:
+            raise InvalidParameterError("max_multiplicity must be >= 1")
+        if not self.fuzz_factor > 0:
+            raise InvalidParameterError("fuzz_factor must be > 0")
 
 
 @dataclass
@@ -121,8 +126,8 @@ def cluster_dnc(
     the default single pass reproduces the reference behaviour in which
     a chain like [1, 1.5, 2] at sigma 0.5 collapses only partially.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not sigma >= 0:
+        raise InvalidParameterError("sigma must be >= 0")
     items = [(complex(r), int(m)) for r, m in roots]
     if not items:
         return RootList()
@@ -177,16 +182,13 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
 
     Input multiplicities are expanded into coincident points, so a root
     carrying multiplicity d behaves like d coincident simple roots.
-    Candidate clusters of size m are scanned from max_multiplicity down to
-    2; the most symmetric passing candidates win.
+    Candidate clusters of size m are scanned from max_multiplicity (at most
+    the point count) down to 2; the most symmetric passing candidates win.
     """
-    points = sorted(
-        (complex(r) for r, mult in roots for _ in range(mult)),
-        key=lambda z: (z.real, z.imag),
-    )
+    points = [complex(r) for r, mult in roots for _ in range(mult)]
     active = set(range(len(points)))
     accepted: List[Item] = []
-    for m in range(params.max_multiplicity, 1, -1):
+    for m in range(min(params.max_multiplicity, len(points)), 1, -1):
         if len(active) < m:
             continue
         act = sorted(active)

@@ -2,7 +2,13 @@
 
 
 class LagGcdError(Exception):
-    """Base class for all errors raised by laggcd."""
+    """Base class for all errors raised by laggcd; the CLI exits with exit_code."""
+
+    exit_code = 2  # bad input or options; numerical failures use 3
+
+
+class InvalidParameterError(LagGcdError, ValueError):
+    """A library option is out of range; also a ValueError, so either catch works."""
 
 
 class DuplicateNodesError(LagGcdError):
@@ -14,11 +20,15 @@ class InsufficientNodesError(LagGcdError):
 
 
 class EigensolveFailureError(LagGcdError):
-    """The generalized eigenvalue iteration did not converge."""
+    """The generalized eigenvalue problem could not be solved."""
+
+    exit_code = 3
 
 
 class DegenerateInputError(LagGcdError):
     """Input data does not define a usable polynomial (e.g. identically zero)."""
+
+    exit_code = 3
 
 
 class ZeroPolynomialError(DegenerateInputError):

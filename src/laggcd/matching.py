@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SizeGuardError
+from .errors import InvalidParameterError, SizeGuardError
 from .lagpoly import RootList
 
 EXACT_SIZE_GUARD = 10_000  # max |left| * |right| for the exact solver
@@ -52,8 +52,8 @@ class Matching:
 
 def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGraph:
     """All root pairs within sigma, weighted by min multiplicity."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not sigma >= 0:
+        raise InvalidParameterError("sigma must be >= 0")
     edges: List[Edge] = []
     for i, (r, dr) in enumerate(roots_p):
         for j, (s, ds) in enumerate(roots_q):

@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .errors import LengthMismatchError
+from .errors import InvalidParameterError, LengthMismatchError
 from .lagpoly import LagrangePoly, RootList
 
 RHO_SUM = "sum"
@@ -83,7 +83,7 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
         return float(dist[rows, cols].sum()) / n
     if rho == RHO_MAX:
         return _bottleneck(dist) / n
-    raise ValueError("rho must be 'sum' or 'max', got %r" % (rho,))
+    raise InvalidParameterError("rho must be 'sum' or 'max', got %r" % (rho,))
 
 
 def certify_distance(

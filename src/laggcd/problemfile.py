@@ -13,14 +13,15 @@ tolerance:
       "sigmaOverrides": {"cluster": ..., "edge": ..., "cert": ...}  # optional
     }
 
-Numbers are either plain reals or [re, im] pairs. A points file for the
-cluster command is a JSON array of [root, multiplicity] entries, where
-root again is a real or an [re, im] pair.
+Numbers are plain reals or [re, im] pairs, all finite doubles. A points
+file for the cluster command is a JSON array of [root, multiplicity]
+entries, where root again is a real or an [re, im] pair.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,18 +30,28 @@ import numpy as np
 from .errors import ProblemFileError
 from .lagpoly import RootList
 
+SIGMA_STAGES = ("cluster", "edge", "cert")  # the keys of "sigmaOverrides"
+
+
+def _is_number(v) -> bool:
+    """An int or float, not a bool, whose value is a finite double."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and abs(v) <= sys.float_info.max  # exact for ints, false for nan
+
+
+def _positive_int(v, name: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ProblemFileError("%s must be a positive integer, got %r" % (name, v))
+    return v
+
 
 def parse_scalar(v) -> complex:
-    """A number, or a two-element [re, im] array."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    """A number, or a two-element [re, im] array of numbers."""
+    if _is_number(v):
         return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
-    ):
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
-    raise ProblemFileError("expected a number or [re, im] pair, got %r" % (v,))
+    raise ProblemFileError("expected a finite number or [re, im] pair, got %r" % (v,))
 
 
 def _scalar_array(raw, name: str) -> np.ndarray:
@@ -50,7 +61,7 @@ def _scalar_array(raw, name: str) -> np.ndarray:
 
 
 def _tolerance(v, name: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v >= 0:
+    if not (_is_number(v) and v >= 0):
         raise ProblemFileError("%s must be a number >= 0, got %r" % (name, v))
     return float(v)
 
@@ -88,32 +99,30 @@ def parse_problem(data: dict) -> ProblemFile:
     overrides = data.get("sigmaOverrides") or {}
     if not isinstance(overrides, dict):
         raise ProblemFileError("sigmaOverrides must be an object")
+    bad = sorted(set(overrides) - set(SIGMA_STAGES))
+    if bad:
+        raise ProblemFileError("sigmaOverrides %s not in %s" % (bad, SIGMA_STAGES))
     stage = {
-        key: _tolerance(overrides[key], "sigmaOverrides." + key)
-        for key in ("cluster", "edge", "cert")
-        if overrides.get(key) is not None
+        "sigma_" + key: _tolerance(value, "sigmaOverrides." + key)
+        for key, value in overrides.items()
+        if value is not None
     }
-    strategy = data.get("strategy")
-    if strategy is not None and strategy not in ("dnc", "heuristic"):
-        raise ProblemFileError("strategy must be 'dnc' or 'heuristic'")
-    rho = data.get("rho")
-    if rho is not None and rho not in ("sum", "max"):
-        raise ProblemFileError("rho must be 'sum' or 'max'")
+    for key, choices in (("strategy", ("dnc", "heuristic")), ("rho", ("sum", "max"))):
+        if data.get(key) not in (None, *choices):
+            raise ProblemFileError("%s must be one of %s" % (key, choices))
     max_mult = data.get("maxMultiplicity")
-    if max_mult is not None and (not isinstance(max_mult, int) or max_mult < 1):
-        raise ProblemFileError("maxMultiplicity must be a positive integer")
+    if max_mult is not None:
+        _positive_int(max_mult, "maxMultiplicity")
     return ProblemFile(
         px=px,
         py=py,
         qx=qx,
         qy=qy,
         sigma=sigma,
-        strategy=strategy,
+        strategy=data.get("strategy"),
         max_multiplicity=max_mult,
-        rho=rho,
-        sigma_cluster=stage.get("cluster"),
-        sigma_edge=stage.get("edge"),
-        sigma_cert=stage.get("cert"),
+        rho=data.get("rho"),
+        **stage,
     )
 
 
@@ -142,9 +151,5 @@ def load_points(path: str) -> RootList:
             raise ProblemFileError(
                 "each point must be a [root, multiplicity] pair, got %r" % (item,)
             )
-        root = parse_scalar(item[0])
-        mult = item[1]
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise ProblemFileError("multiplicity must be a positive integer")
-        entries.append((root, mult))
+        entries.append((parse_scalar(item[0]), _positive_int(item[1], "multiplicity")))
     return RootList(entries)

@@ -86,8 +86,8 @@ def roots(p: LagrangePoly) -> RootfindReport:
         w = scipy.linalg.eig(
             pencil.c0, pencil.c1, right=False, homogeneous_eigvals=True
         )
-    except np.linalg.LinAlgError as exc:  # QZ failed to converge
-        raise EigensolveFailureError(str(exc)) from exc
+    except ValueError as exc:  # QZ did not converge (LinAlgError), or inf/nan data
+        raise EigensolveFailureError("eigensolve failed: %s" % exc) from exc
     alpha, beta = np.asarray(w[0]), np.asarray(w[1])
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
         raise EigensolveFailureError("eigensolver returned non-finite data")

@@ -195,3 +195,16 @@ class TestApproximateGcd:
             )
         assert not res.cert_p
         assert res.warnings
+
+
+def test_rootfinding_note_reaches_warnings():
+    # P samples (x - 1)(x - 2) at four nodes: degree 2 below nominal 3
+    x = np.array([-2.0, 0.0, 3.0, 5.0])
+    p = LagrangePoly(x, (x - 1) * (x - 2))
+    q = from_roots(RootList([(1.0, 1), (7.0, 1)]), np.array([-2.0, 0.0, 3.0]))
+    res = approximate_gcd(p, q, ClusterParams(sigma=1e-6))
+    assert len(res.warnings) == 1
+    assert res.warnings[0].startswith(
+        "P rootfinding: sampled data appears to have degree 2 < nominal 3; "
+    )
+    assert res.gcd_degree == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from laggcd import LagrangePoly, RootList, cluster_dnc, from_roots, roots
+from laggcd import NearDuplicateNodesWarning
 from laggcd.cli import main
 from conftest import PX, PY, QX, QY
 
@@ -296,3 +297,48 @@ class TestExitCodes:
                 main(argv + ["--max-mult", "0"])
             assert exc.value.code == 2
             assert "error: argument --max-mult: must be >= 1" in capsys.readouterr().err
+
+    PROBE_BASE = {"px": [0, 1, 2], "py": [1, 2, 5], "qx": [0, 1, 3], "qy": [1, 0, 4],
+                  "sigma": 0.1}
+    FILE_PROBES = {
+        "nan_value": {"py": [1, float("nan"), 5]},
+        "infinite_node": {"px": [0, float("inf"), 2]},
+        "huge_integer_node": {"px": [0, 1, 10**400]},
+        "bool_max_multiplicity": {"maxMultiplicity": True},
+        "unknown_sigma_override": {"sigmaOverrides": {"edg": -5}},
+    }
+
+    @pytest.mark.parametrize("change", FILE_PROBES.values(), ids=FILE_PROBES.keys())
+    def test_bad_problem_file_is_input_error(self, capsys, tmp_path, change):
+        path = write_json(tmp_path, "probe.json", {**self.PROBE_BASE, **change})
+        code, out, err = run(capsys, ["agcd", path])
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sigma", "1", "--fuzz", "0"],
+            ["--sigma", "1e-9", "--fuzz", "nan", "--strategy", "heuristic"],
+        ],
+        ids=["fuzz_zero", "fuzz_nan"],
+    )
+    def test_bad_fuzz_is_input_error(self, capsys, tmp_path, argv):
+        path = write_json(tmp_path, "pts.json", [[0.0, 1], [1e-3, 1]])
+        code, out, err = run(capsys, ["cluster", path] + argv)
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == ["error: fuzz_factor must be > 0"]
+
+
+class TestInputWarnings:
+    def test_agcd_near_duplicate_nodes_warn(self, capsys, tmp_path):
+        nodes = [0.0, 1.0, 2.0, 2.0 + 1e-9]
+        path = write_json(
+            tmp_path, "near.json",
+            {"px": nodes, "py": [(x - 1) * (x - 3) * (x + 1) for x in nodes],
+             "qx": [0.0, 1.0, 3.0], "qy": [1.0, 0.0, 4.0], "sigma": 1e-3},
+        )
+        with pytest.warns(NearDuplicateNodesWarning):
+            code, _, _ = run(capsys, ["agcd", path])
+        assert code == 0

@@ -1,0 +1,100 @@
+"""Error types: option checks, exit codes, and typed numerical failures."""
+
+import math
+
+import numpy as np
+import pytest
+
+import laggcd
+from laggcd import (
+    ClusterParams,
+    DegenerateInputError,
+    EigensolveFailureError,
+    InvalidParameterError,
+    LagGcdError,
+    LagrangePoly,
+    RootList,
+    ZeroPolynomialError,
+    approximate_gcd,
+    build_graph,
+    cluster_dnc,
+    cluster_heuristic,
+    greedy_mwm,
+    reconstruct,
+    root_pseudometric,
+    roots,
+)
+
+NAN = math.nan
+
+
+def _poly():
+    return LagrangePoly([0.0, 1.0, 2.0], [1.0, 0.0, 3.0])
+
+
+def _empty_matching():
+    return greedy_mwm(build_graph(RootList(), RootList(), 1.0))
+
+
+OPTION_ERRORS = {
+    "params_sigma": lambda: ClusterParams(sigma=-1.0),
+    "params_sigma_nan": lambda: ClusterParams(sigma=NAN),
+    "params_max_mult": lambda: ClusterParams(sigma=1.0, max_multiplicity=0),
+    "params_max_mult_nan": lambda: ClusterParams(sigma=1.0, max_multiplicity=NAN),
+    "params_fuzz": lambda: ClusterParams(sigma=1.0, fuzz_factor=0.0),
+    "params_fuzz_nan": lambda: ClusterParams(sigma=1.0, fuzz_factor=NAN),
+    "params_strategy": lambda: ClusterParams(sigma=1.0, strategy="bogus"),
+    "dnc_sigma": lambda: cluster_dnc(RootList(), -1.0),
+    "dnc_sigma_nan": lambda: cluster_dnc(RootList(), NAN),
+    "graph_sigma": lambda: build_graph(RootList(), RootList(), -1.0),
+    "graph_sigma_nan": lambda: build_graph(RootList(), RootList(), NAN),
+    "metric_rho": lambda: root_pseudometric([1.0], [1.0], rho="median"),
+    "agcd_matcher": lambda: approximate_gcd(
+        _poly(), _poly(), ClusterParams(sigma=0.1), matcher="bogus"
+    ),
+    "reconstruct_side": lambda: reconstruct(
+        RootList(), _empty_matching(), "middle", RootList()
+    ),
+}
+
+
+@pytest.mark.parametrize("call", OPTION_ERRORS.values(), ids=OPTION_ERRORS.keys())
+def test_option_errors_are_typed(call):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert isinstance(exc.value, LagGcdError)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.exit_code == 2
+
+
+def test_exit_code_table():
+    numeric = {EigensolveFailureError, DegenerateInputError, ZeroPolynomialError}
+    classes = [
+        obj
+        for obj in vars(laggcd).values()
+        if isinstance(obj, type) and issubclass(obj, LagGcdError)
+    ]
+    assert numeric < set(classes)
+    for cls in classes:
+        assert cls.exit_code == (3 if cls in numeric else 2), cls.__name__
+
+
+def test_roots_of_nan_values_is_numerical_failure():
+    with pytest.raises(EigensolveFailureError) as exc:
+        roots(LagrangePoly([0.0, 1.0, 2.0], [1.0, NAN, 5.0]))
+    assert not isinstance(exc.value, ValueError)
+    assert exc.value.exit_code == 3
+
+
+def test_heuristic_ignores_sizes_beyond_point_count():
+    rl = RootList((0.5 * np.exp(2j * np.pi * k / 3), 1) for k in range(3))
+
+    def run(max_multiplicity):
+        params = ClusterParams(
+            sigma=0.2, max_multiplicity=max_multiplicity, strategy="heuristic"
+        )
+        return cluster_heuristic(rl, params)
+
+    # a scan from 10**12 down would not finish
+    assert run(10**12) == run(3)
+    assert run(3).entries[0][1] == 3
