@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from typing import Optional
@@ -208,12 +209,15 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _at_least(convert, least):
-    """argparse type: a number (as `convert` reads it) that is >= least."""
+def _number(convert, least=None):
+    """argparse type: a finite number (as `convert` reads it), >= least if
+    given. Without a bound a NaN passes, for the library's own check."""
 
     def number(text: str):
         value = convert(text)  # a ValueError reads "invalid number value"
-        if not value >= least:  # also rejects nan
+        if abs(value) == math.inf:
+            raise argparse.ArgumentTypeError("must be finite, got %s" % text)
+        if least is not None and not value >= least:  # also rejects nan
             raise argparse.ArgumentTypeError("must be >= %s, got %s" % (least, text))
         return value
 
@@ -237,18 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser("cluster", help="cluster a points file to CSV")
     for sp, func in ((p_agcd, cmd_agcd), (p_cluster, cmd_cluster)):
         sp.add_argument("file")
-        sp.add_argument("--sigma", type=_at_least(float, 0), required=sp is p_cluster)
+        sp.add_argument("--sigma", type=_number(float, 0), required=sp is p_cluster)
         sp.add_argument("--strategy", choices=["dnc", "heuristic"])
-        sp.add_argument("--max-mult", dest="max_multiplicity", type=_at_least(int, 1))
+        sp.add_argument("--max-mult", dest="max_multiplicity", type=_number(int, 1))
         sp.add_argument("--fixpoint", action="store_true")
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=func)
     for stage in SIGMA_STAGES:
-        p_agcd.add_argument("--sigma-" + stage, type=_at_least(float, 0))
+        p_agcd.add_argument("--sigma-" + stage, type=_number(float, 0))
     p_agcd.add_argument("--rho", choices=["sum", "max"])
     p_agcd.add_argument("--matcher", choices=["greedy", "exact"], default="greedy")
     p_agcd.add_argument("--graph-csv", metavar="PATH")
-    p_cluster.add_argument("--fuzz", dest="fuzz_factor", type=float)
+    p_cluster.add_argument("--fuzz", dest="fuzz_factor", type=_number(float))
 
     return parser
 

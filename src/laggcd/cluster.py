@@ -18,6 +18,9 @@ from enum import Enum
 from itertools import combinations
 from typing import List, Optional, Tuple
 
+import numpy as np
+from scipy.spatial import cKDTree
+
 from .errors import InvalidParameterError
 from .lagpoly import RootList
 
@@ -31,6 +34,12 @@ COINCIDENT_RTOL = 1e-13
 # Full subset enumeration is used for heuristic candidates up to this many
 # points; beyond it, nearest-neighbour candidate sets keep the cost down.
 ENUMERATION_LIMIT = 12
+# A kd-tree row is re-ranked exactly and trusted only when its kept
+# distances sit this far (relatively) below its last tree distance, and
+# that distance (in the tree's scaled units) is too large for its square
+# to underflow.
+_KD_MARGIN = 1e-9
+_KD_TINY = 1e-150
 
 
 class Strategy(str, Enum):
@@ -139,16 +148,63 @@ def cluster_dnc(
 
 
 def _knn_candidates(points, active, m):
-    cands = set()
-    for i in active:
-        others = sorted(
-            (j for j in active if j != i),
-            key=lambda j: (abs(points[j] - points[i]), j),
-        )
-        cand = tuple(sorted([i] + others[: m - 1]))
-        if len(cand) == m:
-            cands.add(cand)
-    return sorted(cands)
+    """Each active point with its m - 1 nearest active neighbours, ranked
+    by (abs(points[j] - points[i]), j) as a sort over all of them would.
+
+    The ranking comes from a kd-tree (see _nearest_rows). The tree takes
+    finite points only; non-finite input is ranked by that full sort.
+    """
+    z = np.array([points[i] for i in active], dtype=complex)
+    xy = np.column_stack([z.real, z.imag])
+    if np.isfinite(xy).all():
+        act = np.array(active)
+        rows = [act[row].tolist() for row in _nearest_rows(z, xy, m)]
+    else:
+        rows = [
+            sorted(
+                (j for j in active if j != i),
+                key=lambda j: (abs(points[j] - points[i]), j),
+            )[: m - 1]
+            for i in active
+        ]
+    return sorted({tuple(sorted([i] + row)) for i, row in zip(active, rows)})
+
+
+def _nearest_rows(z, xy, m):
+    """Positions of the m - 1 nearest other points of each point of z,
+    by (distance, position); xy holds z's finite coordinates.
+
+    One cKDTree query fetches m + 1 neighbours of every point; they are
+    re-ranked exactly with np.hypot, which equals Python's abs(complex) bit
+    for bit (np.abs on complex does not). The tree's distances round
+    differently, so a row is trusted only if its kept distances lie below
+    its last tree distance (no unfetched point is nearer) by a clear
+    margin. Other rows, from ties and coincident points, are ranked over
+    all points.
+    """
+    n = len(z)
+    k = min(m + 1, n)
+    # the tree works on the points scaled by a power of two into the unit
+    # square, so that its squared distances cannot overflow
+    scale = np.frexp(np.abs(xy).max())[1]
+    unit = np.ldexp(xy, -scale)
+    tree_dist, near = cKDTree(unit).query(unit, k=k)
+    own = near == np.arange(n)[:, None]
+    dz = z[near] - z[:, None]
+    dist = np.where(own, np.inf, np.hypot(dz.real, dz.imag))
+    order = np.lexsort((np.where(own, n, near), dist))[:, : m - 1]
+    kept = np.take_along_axis(near, order, axis=1)
+    last = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+    bound = tree_dist[:, -1]
+    trusted = (k == n) | (
+        (last < np.ldexp(bound, scale) * (1 - _KD_MARGIN)) & (bound > _KD_TINY)
+    )
+    rows = list(kept)
+    for a in np.flatnonzero(~trusted):
+        dz = z - z[a]
+        rest = np.argsort(np.hypot(dz.real, dz.imag), kind="stable")
+        rows[a] = rest[rest != a][: m - 1]
+    return rows
 
 
 def _score_candidate(points, cand, m, radius_cap):

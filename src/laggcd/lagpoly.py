@@ -134,11 +134,8 @@ class RootList:
 
     def expand(self) -> np.ndarray:
         """Roots repeated according to multiplicity, as a complex array."""
-        if not self.entries:
-            return np.empty(0, dtype=complex)
-        return np.array(
-            [r for r, m in self.entries for _ in range(m)], dtype=complex
-        )
+        roots = np.array([r for r, _ in self.entries], dtype=complex)
+        return np.repeat(roots, [m for _, m in self.entries])
 
     def __iter__(self) -> Iterator[Tuple[complex, int]]:
         return iter(self.entries)
@@ -165,7 +162,14 @@ def from_roots(
 
     The node list must have at least total_multiplicity + 1 entries so the
     product is represented exactly. Per node, factors are multiplied in
-    order of increasing modulus to limit cancellation.
+    order of increasing modulus to limit cancellation; all nodes advance
+    together, one factor column at a time. The product is written out in
+    real arithmetic, (a + bi)(c + di) = (ac - bd) + (ad + bc)i with each
+    operation rounded, which is the product one complex number at a time
+    gives; numpy's complex array `*` may fuse a multiply and an add and
+    then differs in the last bit. The order key is np.abs, as in the
+    per-node loop; np.abs on complex is not Python's abs bit for bit, so
+    code that must match abs(complex) uses np.hypot instead.
     """
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
@@ -175,13 +179,13 @@ def from_roots(
         raise InsufficientNodesError(
             "need at least %d nodes for degree %d, got %d" % (deg + 1, deg, len(x))
         )
-    expanded = roots.expand()
+    factors = x[:, None] - roots.expand()[None, :]
+    order = np.argsort(np.abs(factors), axis=1, kind="stable")
+    factors = np.take_along_axis(factors, order, axis=1)
+    c = complex(leading_coeff)
+    vr, vi = np.full(len(x), c.real), np.full(len(x), c.imag)
+    for fr, fi in zip(factors.real.T, factors.imag.T):
+        vr, vi = vr * fr - vi * fi, vr * fi + vi * fr
     values = np.empty(len(x), dtype=complex)
-    for k, xk in enumerate(x):
-        factors = xk - expanded
-        order = np.argsort(np.abs(factors), kind="stable")
-        v = complex(leading_coeff)
-        for f in factors[order]:
-            v *= f
-        values[k] = v
+    values.real, values.imag = vr, vi
     return LagrangePoly(x, values)

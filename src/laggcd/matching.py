@@ -8,6 +8,8 @@ solver is provided as an oracle for tests and for small problems.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -18,6 +20,7 @@ from .errors import InvalidParameterError, SizeGuardError
 from .lagpoly import RootList
 
 EXACT_SIZE_GUARD = 10_000  # max |left| * |right| for the exact solver
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,30 @@ class Matching:
 
 
 def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGraph:
-    """All root pairs within sigma, weighted by min multiplicity."""
+    """All root pairs within sigma, weighted by min multiplicity.
+
+    A sort-and-sweep: Q's entries are already in real-part order (RootList
+    keeps them so), so each P root bisects the window of real parts within
+    sigma of its own and tests only that window, with the exact test
+    abs(r - s) <= sigma. The window is widened by a few ulps so that
+    rounding cannot drop a pair, and it is visited in ascending index, so
+    the edges and their (i, j) order are those of the all-pairs scan. Real
+    parts that are not in order (NaN) make every window the whole of Q.
+    """
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be >= 0")
+    right = roots_q.entries
+    reals = [s.real for s, _ in right]
+    ordered = all(a <= b for a, b in zip(reals, reals[1:]))
     edges: List[Edge] = []
     for i, (r, dr) in enumerate(roots_p):
-        for j, (s, ds) in enumerate(roots_q):
+        lo, hi = 0, len(right)
+        if ordered:  # a NaN bound bisects to the whole of Q
+            slack = sigma + 4 * _EPS * (abs(r.real) + sigma)
+            lo = bisect_left(reals, r.real - slack)
+            hi = bisect_right(reals, r.real + slack)
+        for j in range(lo, hi):
+            s, ds = right[j]
             d = abs(r - s)
             if d <= sigma:
                 edges.append(Edge(i, j, min(dr, ds), d))

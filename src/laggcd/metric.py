@@ -43,15 +43,25 @@ def _coords(obj) -> np.ndarray:
 
 
 def _bottleneck(dist: np.ndarray) -> float:
-    """Smallest t such that a perfect matching exists using edges <= t."""
+    """Smallest t such that a perfect matching exists using edges <= t.
+
+    No perfect matching beats lb, the largest of the row and column
+    minima, and lb is an entry of dist; it is probed first and is the
+    answer on well-separated data. Otherwise the binary search runs over
+    the distinct entries above lb only. (With NaN entries lb is NaN and
+    the search covers every entry.)
+    """
     n = dist.shape[0]
-    values = np.unique(dist)
 
     def feasible(t: float) -> bool:
         adj = csr_matrix(dist <= t)
         match = maximum_bipartite_matching(adj, perm_type="column")
         return int((match >= 0).sum()) == n
 
+    lb = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    if feasible(lb):
+        return float(lb)
+    values = np.unique(dist[~(dist <= lb)])
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2

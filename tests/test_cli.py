@@ -298,6 +298,28 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert "error: argument --max-mult: must be >= 1" in capsys.readouterr().err
 
+    INFINITE_FLAGS = {
+        "cluster_sigma": ["cluster", "POINTS", "--sigma", "inf"],
+        "agcd_sigma": ["agcd", "PROBLEM", "--sigma", "inf"],
+        "sigma_cluster": ["agcd", "PROBLEM", "--sigma-cluster", "inf"],
+        "sigma_edge": ["agcd", "PROBLEM", "--sigma-edge", "Infinity"],
+        "sigma_cert": ["agcd", "PROBLEM", "--sigma-cert", "inf"],
+        "fuzz": ["cluster", "POINTS", "--sigma", "1", "--fuzz", "inf"],
+        "fuzz_negative": ["cluster", "POINTS", "--sigma", "1", "--fuzz=-inf"],
+    }
+
+    @pytest.mark.parametrize("argv", INFINITE_FLAGS.values(), ids=INFINITE_FLAGS.keys())
+    def test_infinite_tolerance_flag_is_input_error(self, capsys, problem_file, tmp_path, argv):
+        points = write_json(tmp_path, "pts.json", [[0.0, 1], [5.0, 1], [100.0, 1]])
+        argv = [{"POINTS": points, "PROBLEM": problem_file}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be finite, got " in errors[0]
+
     PROBE_BASE = {"px": [0, 1, 2], "py": [1, 2, 5], "qx": [0, 1, 3], "qy": [1, 0, 4],
                   "sigma": 0.1}
     FILE_PROBES = {

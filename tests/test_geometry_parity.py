@@ -1,0 +1,346 @@
+"""The near-linear geometry layers against the all-pairs loops they replace.
+
+Each oracle below is the straightforward quadratic version of a layer:
+the all-pairs edge scan, a full sort per point for nearest neighbours,
+a binary search over every distinct distance for the bottleneck, and a
+per-node product loop for sampling from roots. The fast versions must
+give the same Python objects and the same floats, bit for bit.
+"""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
+
+from laggcd import ClusterParams, RootList, build_graph, cluster_heuristic, from_roots
+from laggcd.cluster import ENUMERATION_LIMIT, _knn_candidates
+from laggcd.matching import Edge
+from laggcd.metric import _bottleneck
+
+# the package re-exports the function `cluster` under the module's name
+cluster_mod = importlib.import_module("laggcd.cluster")
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def oracle_edges(roots_p, roots_q, sigma):
+    edges = []
+    for i, (r, dr) in enumerate(roots_p):
+        for j, (s, ds) in enumerate(roots_q):
+            d = abs(r - s)
+            if d <= sigma:
+                edges.append(Edge(i, j, min(dr, ds), d))
+    return tuple(edges)
+
+
+def oracle_knn(points, active, m):
+    cands = set()
+    for i in active:
+        others = sorted(
+            (j for j in active if j != i),
+            key=lambda j: (abs(points[j] - points[i]), j),
+        )
+        cand = tuple(sorted([i] + others[: m - 1]))
+        if len(cand) == m:
+            cands.add(cand)
+    return sorted(cands)
+
+
+def oracle_bottleneck(dist):
+    n = dist.shape[0]
+    values = np.unique(dist)
+
+    def feasible(t):
+        adj = csr_matrix(dist <= t)
+        match = maximum_bipartite_matching(adj, perm_type="column")
+        return int((match >= 0).sum()) == n
+
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
+def oracle_expand(roots):
+    if not roots.entries:
+        return np.empty(0, dtype=complex)
+    return np.array([r for r, m in roots.entries for _ in range(m)], dtype=complex)
+
+
+def oracle_values(roots, nodes, leading_coeff=1.0):
+    x = np.asarray(nodes, dtype=complex)
+    expanded = oracle_expand(roots)
+    values = np.empty(len(x), dtype=complex)
+    for k, xk in enumerate(x):
+        factors = xk - expanded
+        order = np.argsort(np.abs(factors), kind="stable")
+        v = complex(leading_coeff)
+        for f in factors[order]:
+            v *= f
+        values[k] = v
+    return values
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def cloud(rng, n, complex_=True, scale=1.0):
+    z = rng.uniform(-scale, scale, n)
+    if complex_:
+        z = z + 1j * rng.uniform(-scale, scale, n)
+    return z
+
+
+def with_mults(rng, z, top=3):
+    return RootList((complex(r), int(m)) for r, m in zip(z, rng.integers(1, top + 1, len(z))))
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+# ---------------------------------------------------------------- build_graph
+
+
+class TestBuildGraph:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds(self, seed, complex_):
+        rng = np.random.default_rng([1, seed])
+        n_p, n_q = rng.integers(0, 120, 2)
+        p = with_mults(rng, cloud(rng, n_p, complex_))
+        q = with_mults(rng, cloud(rng, n_q, complex_))
+        sigma = float(rng.choice([0.0, 1e-3, 0.05, 0.3, 5.0]))
+        assert build_graph(p, q, sigma).edges == oracle_edges(p, q, sigma)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e6, -3e12])
+    def test_distances_exactly_at_sigma(self, offset):
+        rng = np.random.default_rng(2)
+        zp = offset + cloud(rng, 40, scale=1e-3 * (1 + abs(offset)) ** 0.5)
+        zq = offset + cloud(rng, 40, scale=1e-3 * (1 + abs(offset)) ** 0.5)
+        p, q = with_mults(rng, zp), with_mults(rng, zq)
+        for i, j in rng.integers(0, 40, (10, 2)):
+            sigma = abs(p.entries[i][0] - q.entries[j][0])
+            edges = build_graph(p, q, sigma).edges
+            assert edges == oracle_edges(p, q, sigma)
+            assert any(e.distance == sigma for e in edges)
+
+    def test_rounded_difference_at_sigma(self):
+        # 1.0 - (-1e-17) rounds to 1.0 = sigma: an edge whose exact real
+        # gap exceeds sigma, so the window must be wider than sigma
+        p = RootList([(1.0, 1), (-1e-17, 2)])
+        q = RootList([(-1e-17, 1), (1.0, 1)])
+        edges = build_graph(p, q, 1.0).edges
+        assert edges == oracle_edges(p, q, 1.0)
+        assert len(edges) == 4
+
+    def test_exact_pythagorean_boundary(self):
+        p = RootList([(0.0, 1), (10.0, 2)])
+        q = RootList([(3 + 4j, 1), (-5.0, 1), (5j, 3), (13 + 12j, 1), (10 - 5j, 2)])
+        edges = build_graph(p, q, 5.0).edges
+        assert edges == oracle_edges(p, q, 5.0)
+        assert len(edges) == 4
+
+    def test_sigma_zero_coincident_roots(self):
+        shared = [0.0, -0.0, 1.5, 1.5 + 2j, -7.25j]
+        p = RootList((z, 1 + k % 3) for k, z in enumerate(shared + [0.5, 2.0]))
+        q = RootList((z, 2) for z in shared + [0.25])
+        edges = build_graph(p, q, 0.0).edges
+        assert edges == oracle_edges(p, q, 0.0)
+        assert len(edges) == 2 * 2 + 3  # 0.0 and -0.0 both meet both zeros
+
+    def test_non_finite_roots(self):
+        odd = [math.nan, complex(1.0, math.nan), math.inf, -math.inf, complex(math.inf, 1)]
+        p = RootList((z, 1) for z in odd + [0.0, 1.0])
+        q = RootList((z, 1) for z in odd + [0.5, 1.0])
+        for sigma in (0.0, 0.6, math.inf):
+            assert build_graph(p, q, sigma).edges == oracle_edges(p, q, sigma)
+
+    def test_2048_root_cloud(self):
+        rng = np.random.default_rng(3)
+        p = RootList((complex(z), 1) for z in cloud(rng, 2048))
+        q = RootList((complex(z), 1) for z in cloud(rng, 2048))
+        edges = build_graph(p, q, 0.02).edges
+        assert edges == oracle_edges(p, q, 0.02)
+        assert len(edges) > 1000
+
+
+# ---------------------------------------------------------------- kNN candidates
+
+
+class TestKnnCandidates:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_clouds(self, seed, complex_, m):
+        rng = np.random.default_rng([4, seed])
+        points = [complex(z) for z in cloud(rng, 150, complex_)]
+        active = sorted(rng.choice(150, size=int(rng.integers(13, 150)), replace=False).tolist())
+        assert _knn_candidates(points, active, m) == oracle_knn(points, active, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_equidistant_ties(self, m):
+        grid = [complex(a, b) for a in range(6) for b in range(6)]
+        circle = [10 + 10j + complex(math.cos(t), math.sin(t)) for t in np.arange(8) * math.pi / 4]
+        points = grid + circle + [0.5 + 0.5j, 10 + 10j]
+        active = list(range(len(points)))
+        assert _knn_candidates(points, active, m) == oracle_knn(points, active, m)
+
+    def test_distances_one_ulp_apart(self):
+        # abs(p1) exceeds abs(p2) by one ulp; np.abs on complex orders them
+        # the other way, so only the exact modulus picks p2 for the origin
+        p1 = 0.9081006056533703 + 0.1945275088089863j
+        p2 = -0.11839165558890176 - 0.9211248979147002j
+        assert abs(p1) > abs(p2)
+        points = [0j, p1, p2, p1 + 0.01, p2 - 0.01j] + [complex(10 + k) for k in range(10)]
+        active = list(range(len(points)))
+        got = _knn_candidates(points, active, 2)
+        assert got == oracle_knn(points, active, 2)
+        assert (0, 2) in got and (0, 1) not in got
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_coincident_points(self, m):
+        points = [0.0j] * 9 + [1.0 + 0j] * 4 + [2.0 + 1j, 2.0 + 1j, 3.0 + 0j] + [1e-170j, 2e-170j]
+        active = list(range(len(points)))
+        assert _knn_candidates(points, active, m) == oracle_knn(points, active, m)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(5)
+        points = [complex(z) * scale for z in cloud(rng, 40)]
+        active = list(range(40))
+        assert _knn_candidates(points, active, 3) == oracle_knn(points, active, 3)
+
+    def test_non_finite_points(self):
+        points = [complex(k, k % 3) for k in range(14)] + [complex(math.inf, 0), complex(math.nan, 1)]
+        active = list(range(len(points)))
+        assert _knn_candidates(points, active, 3) == oracle_knn(points, active, 3)
+
+    @pytest.mark.parametrize("count", [ENUMERATION_LIMIT, ENUMERATION_LIMIT + 1])
+    def test_heuristic_either_side_of_enumeration_limit(self, monkeypatch, count):
+        rng = np.random.default_rng(6)
+        centers = cloud(rng, count)
+        points = []
+        for c in centers:  # triples of radius 1e-3, plus their centers' jitter
+            points += [c + 1e-3 * np.exp(2j * np.pi * (k / 3 + rng.uniform(0, 0.02))) for k in range(3)]
+        roots = RootList((complex(z), 1) for z in points[:count])
+        params = ClusterParams(sigma=1e-9, strategy="heuristic")
+        fast = cluster_heuristic(roots, params)
+        monkeypatch.setattr(cluster_mod, "_knn_candidates", oracle_knn)
+        assert cluster_heuristic(roots, params) == fast
+
+    def test_heuristic_clouds_with_triples(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        centers = cloud(rng, 40)
+        pts = [c + 1e-4 * np.exp(2j * np.pi * k / 3) for c in centers[:10] for k in range(3)]
+        roots = RootList((complex(z), 1) for z in list(centers[10:]) + pts)
+        params = ClusterParams(sigma=1e-9, strategy="heuristic", max_multiplicity=4)
+        fast = cluster_heuristic(roots, params)
+        monkeypatch.setattr(cluster_mod, "_knn_candidates", oracle_knn)
+        assert cluster_heuristic(roots, params) == fast
+
+    def test_2048_point_cloud(self):
+        rng = np.random.default_rng(8)
+        points = [complex(z) for z in cloud(rng, 2048)]
+        active = list(range(2048))
+        assert _knn_candidates(points, active, 3) == oracle_knn(points, active, 3)
+
+
+# ---------------------------------------------------------------- bottleneck
+
+
+class TestBottleneck:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
+    def test_random_root_vectors(self, n, complex_):
+        rng = np.random.default_rng([9, n])
+        for _ in range(5):
+            dist = pairwise_between(cloud(rng, n, complex_), cloud(rng, n, complex_))
+            assert bits(_bottleneck(dist)) == bits(oracle_bottleneck(dist))
+
+    def test_both_paths_taken(self):
+        rng = np.random.default_rng(10)
+        at_lower_bound = above = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 12))
+            z = cloud(rng, n)
+            dist = pairwise_between(z, z + 0.3 * cloud(rng, n))
+            got = _bottleneck(dist)
+            assert bits(got) == bits(oracle_bottleneck(dist))
+            lb = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+            at_lower_bound += got == lb
+            above += got > lb
+        assert at_lower_bound and above
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_tied_integer_distances(self, n):
+        rng = np.random.default_rng([11, n])
+        for _ in range(10):
+            dist = rng.integers(0, 4, (n, n)).astype(float)
+            assert bits(_bottleneck(dist)) == bits(oracle_bottleneck(dist))
+
+    def test_coincident_roots(self):
+        f = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+        g = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
+        dist = pairwise_between(f, g)
+        assert bits(_bottleneck(dist)) == bits(oracle_bottleneck(dist))
+
+    def test_nan_entries(self):
+        dist = pairwise_between([0.0, 1.0, math.nan], [0.5, 1.0, 2.0])
+        assert bits(_bottleneck(dist)) == bits(oracle_bottleneck(dist))
+
+
+def pairwise_between(f, g):
+    return np.abs(np.asarray(f)[:, None] - np.asarray(g)[None, :])
+
+
+# ---------------------------------------------------------------- from_roots
+
+
+class TestFromRoots:
+    @pytest.mark.parametrize("degree", [0, 1, 4, 16, 64])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_random_roots(self, degree, complex_):
+        rng = np.random.default_rng([12, degree])
+        z = cloud(rng, degree, complex_)
+        roots = RootList((complex(r), 1) for r in z)
+        nodes = np.cos(np.pi * (np.arange(degree + 3) + 0.5) / (degree + 3)) * 1.1
+        got = from_roots(roots, nodes).values
+        assert bits(got) == bits(oracle_values(roots, nodes))
+
+    def test_conjugate_pairs_at_real_nodes(self):
+        # equal moduli |x - r| = |x - conj(r)| make the stable order matter
+        rng = np.random.default_rng(13)
+        z = cloud(rng, 10)
+        roots = RootList((complex(r), 1) for r in list(z) + list(np.conj(z)))
+        nodes = np.linspace(-1, 1, 24)
+        got = from_roots(roots, nodes).values
+        assert bits(got) == bits(oracle_values(roots, nodes))
+
+    def test_coincident_expanded_multiplicities(self):
+        roots = RootList([(0.5, 4), (0.5 + 0.25j, 3), (-0.75, 5), (0.5 - 0.25j, 3)])
+        nodes = np.linspace(-2, 2, roots.total_multiplicity() + 2)
+        assert bits(roots.expand()) == bits(oracle_expand(roots))
+        got = from_roots(roots, nodes).values
+        assert bits(got) == bits(oracle_values(roots, nodes))
+
+    @pytest.mark.parametrize("lead", [1.0, -2.5, 3 - 4j, 1e-300j, 0.0])
+    def test_complex_leading_coeff_and_complex_nodes(self, lead):
+        rng = np.random.default_rng(14)
+        roots = with_mults(rng, cloud(rng, 6))
+        nodes = cloud(rng, roots.total_multiplicity() + 1)
+        got = from_roots(roots, nodes, leading_coeff=lead).values
+        assert bits(got) == bits(oracle_values(roots, nodes, lead))
+
+    def test_empty_root_list(self):
+        assert bits(RootList().expand()) == bits(oracle_expand(RootList()))
+        got = from_roots(RootList(), [0.0, 1.0], leading_coeff=2 + 1j).values
+        assert bits(got) == bits(oracle_values(RootList(), [0.0, 1.0], 2 + 1j))
