@@ -12,6 +12,7 @@ Two interchangeable strategies:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -233,6 +234,15 @@ def _score_candidate(points, cand, m, radius_cap):
     return (gap_dev, rmax / rmin, rmax, cand)
 
 
+def _coincident_runs(points) -> List[List[int]]:
+    """Indices of each finite value that occurs more than once, ascending."""
+    runs = {}
+    for i, p in enumerate(points):
+        if cmath.isfinite(p):
+            runs.setdefault(p, []).append(i)
+    return [run for run in runs.values() if len(run) > 1]
+
+
 def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     """Distance/symmetry clustering with a bias toward higher multiplicity.
 
@@ -240,11 +250,31 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     carrying multiplicity d behaves like d coincident simple roots.
     Candidate clusters of size m are scanned from max_multiplicity (at most
     the point count) down to 2; the most symmetric passing candidates win.
+    Before the scan at size m, each value held by c >= m active points
+    yields floor(c / m) clusters of its lowest indices: exactly coincident
+    candidates score best of all, and the nearest-neighbour candidates
+    cannot find them, since every distance among the copies ties.
     """
     points = [complex(r) for r, mult in roots for _ in range(mult)]
     active = set(range(len(points)))
     accepted: List[Item] = []
+
+    def accept(cand, m):
+        centroid = sum(points[i] for i in cand) / m
+        accepted.append((centroid, m))
+        active.difference_update(cand)
+
+    runs = _coincident_runs(points)
     for m in range(min(params.max_multiplicity, len(points)), 1, -1):
+        if len(active) < m:
+            continue
+        for run in runs:
+            if len(run) >= m:
+                run[:] = [i for i in run if i in active]
+                whole = len(run) - len(run) % m
+                for k in range(0, whole, m):
+                    accept(run[k : k + m], m)
+                del run[:whole]
         if len(active) < m:
             continue
         act = sorted(active)
@@ -264,11 +294,8 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
                 scored.append(score)
         scored.sort(key=lambda s: (s[0], s[1], s[2], s[3]))
         for _, _, _, cand in scored:
-            if not all(i in active for i in cand):
-                continue
-            centroid = sum(points[i] for i in cand) / m
-            accepted.append((centroid, m))
-            active.difference_update(cand)
+            if all(i in active for i in cand):
+                accept(cand, m)
     accepted.extend((points[i], 1) for i in sorted(active))
     return RootList(accepted)
 

@@ -128,6 +128,30 @@ class TestHeuristic:
         assert sorted(m for _, m in out) == [1, 3]
         assert out.total_multiplicity() == 4
 
+    @pytest.mark.parametrize(
+        "mult, triples, doubles, singles_",
+        [(14, 4, 1, 0), (2000, 666, 1, 0), (10**5, 33333, 0, 1)],
+    )
+    def test_coincident_copies_split_into_largest_clusters(
+        self, mult, triples, doubles, singles_
+    ):
+        # beyond the enumeration limit every neighbour distance ties, so
+        # the copies are grouped before the neighbour search
+        out = cluster_heuristic(RootList([(0.5 - 0.25j, mult)]), self.params(1e-6))
+        counts = [sum(m == k for _, m in out) for k in (3, 2, 1)]
+        assert counts == [triples, doubles, singles_]
+        assert all(r == 0.5 - 0.25j for r, _ in out)
+
+    def test_coincident_copies_beside_distinct_points(self):
+        pts = [3.0 + 1e-3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+        rl = RootList([(0.0, 7), (-0.0, 1)] + [(p, 1) for p in pts + [9.0, 9.5j]])
+        out = cluster_heuristic(rl, self.params(1e-6))
+        assert sorted(m for r, m in out if r == 0) == [2, 3, 3]
+        (r, m), = [(r, m) for r, m in out if abs(r - 3.0) < 0.1]
+        assert m == 3 and abs(r - 3.0) <= 1e-12
+        assert {r for r, m in out if m == 1} == {9.0, 9.5j}
+        assert out.total_multiplicity() == rl.total_multiplicity()
+
     def test_symmetry_preferred_over_distance(self):
         # perfect triangle of radius 0.05 about the origin plus a point
         # closer to the centre: the symmetric triple must win

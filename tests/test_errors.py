@@ -26,6 +26,7 @@ from laggcd import (
 )
 
 NAN = math.nan
+INF = math.inf
 
 
 def _poly():
@@ -49,6 +50,13 @@ OPTION_ERRORS = {
     "graph_sigma": lambda: build_graph(RootList(), RootList(), -1.0),
     "graph_sigma_nan": lambda: build_graph(RootList(), RootList(), NAN),
     "metric_rho": lambda: root_pseudometric([1.0], [1.0], rho="median"),
+    "metric_nan_sum": lambda: root_pseudometric([NAN, 1.0], [0.0, 1.0]),
+    "metric_nan_max": lambda: root_pseudometric([NAN, 1.0], [0.0, 1.0], rho="max"),
+    "metric_inf_sum": lambda: root_pseudometric([INF, 1.0], [0.0, 1.0]),
+    "metric_inf_max": lambda: root_pseudometric([INF, 1.0], [0.0, 1.0], rho="max"),
+    # inf == inf, so only a check before the pairing of equal roots sees it
+    "metric_inf_shared": lambda: root_pseudometric([INF, 1.0], [INF, 1.0]),
+    "metric_complex_nan": lambda: root_pseudometric([0.0], [complex(0.0, NAN)]),
     "agcd_matcher": lambda: approximate_gcd(
         _poly(), _poly(), ClusterParams(sigma=0.1), matcher="bogus"
     ),

@@ -2,23 +2,34 @@
 
 Each oracle below is the straightforward quadratic version of a layer:
 the all-pairs edge scan, a full sort per point for nearest neighbours,
-a binary search over every distinct distance for the bottleneck, and a
-per-node product loop for sampling from roots. The fast versions must
-give the same Python objects and the same floats, bit for bit.
+a binary search over every distinct distance for the bottleneck, a
+per-node product loop for sampling from roots, and the dense assignment
+over all n x n distances for rho="sum". The fast versions must give the
+same Python objects and the same floats, bit for bit (rho="sum" only
+where its optimal assignment is unique; elsewhere to 1e-15 relative).
 """
 
 import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from laggcd import ClusterParams, RootList, build_graph, cluster_heuristic, from_roots
+from laggcd import (
+    ClusterParams,
+    RootList,
+    build_graph,
+    cluster_heuristic,
+    from_roots,
+    root_pseudometric,
+)
 from laggcd.cluster import ENUMERATION_LIMIT, _knn_candidates
 from laggcd.matching import Edge
-from laggcd.metric import _bottleneck
+from laggcd.metric import _bottleneck, _unshared
 
 # the package re-exports the function `cluster` under the module's name
 cluster_mod = importlib.import_module("laggcd.cluster")
@@ -67,6 +78,19 @@ def oracle_bottleneck(dist):
         else:
             lo = mid + 1
     return float(values[lo])
+
+
+def oracle_sum(f, g):
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    dist = np.abs(f[:, None] - g[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].sum()) / len(f)
+
+
+def oracle_unshared(f, g):
+    """Multisets of f and of g left after removing their intersection."""
+    cf, cg = Counter(map(complex, f)), Counter(map(complex, g))
+    return cf - cg, cg - cf
 
 
 def oracle_expand(roots):
@@ -344,3 +368,98 @@ class TestFromRoots:
         assert bits(RootList().expand()) == bits(oracle_expand(RootList()))
         got = from_roots(RootList(), [0.0, 1.0], leading_coeff=2 + 1j).values
         assert bits(got) == bits(oracle_values(RootList(), [0.0, 1.0], 2 + 1j))
+
+
+# ---------------------------------------------------------------- rho = "sum"
+
+
+def moved(rng, f, share, complex_=True):
+    """f with all but a share of its coordinates moved, in shuffled order."""
+    g = np.array(f, dtype=complex)
+    k = len(g) - int(round(share * len(g)))
+    idx = rng.choice(len(g), size=k, replace=False)
+    g[idx] += 0.05 * cloud(rng, k, complex_)
+    return rng.permutation(g)
+
+
+class TestSumAssignment:
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_random_root_vectors(self, n, complex_, share):
+        rng = np.random.default_rng([15, n, int(share * 2)])
+        for _ in range(5):
+            f = cloud(rng, n, complex_)
+            g = moved(rng, f, share, complex_)
+            got = root_pseudometric(f, g)
+            assert bits(got) == bits(oracle_sum(f, g))
+            if share == 1.0:
+                assert bits(got) == bits(0.0)
+
+    def test_coordinates_one_ulp_apart(self):
+        # near-equal is not equal: these must go through the assignment
+        rng = np.random.default_rng(16)
+        f = cloud(rng, 12)
+        g = f.copy()
+        g[:4] = np.nextafter(g[:4].real, np.inf) + 1j * g[:4].imag
+        g[4:8] += 1e-13
+        g = rng.permutation(g)
+        got = root_pseudometric(f, g)
+        assert got > 0.0
+        assert bits(got) == bits(oracle_sum(f, g))
+
+    def test_signed_zeros(self):
+        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        f = np.array(zeros + [1.0 + 2j, -3.0], dtype=complex)
+        g = np.array([0.0, 0.0, 0.0, 0.0, 1.0 + 2.5j, -3.0 + 1e-3j], dtype=complex)
+        rows, cols = _unshared(np.concatenate([f, g]), len(f))
+        assert rows.tolist() == [4, 5] and cols.tolist() == [4, 5]
+        assert bits(root_pseudometric(f, g)) == bits(oracle_sum(f, g))
+        assert bits(root_pseudometric(f[:4], g[:4])) == bits(0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_shared_values(self, seed):
+        # shared values held a different number of times by each side: the
+        # surplus copies are interchangeable, so the optimum is not unique
+        rng = np.random.default_rng([17, seed])
+        values = cloud(rng, 5)
+        counts_f, counts_g = rng.integers(0, 4, (2, 5))
+        f = np.repeat(values, counts_f)
+        g = np.repeat(values, counts_g)
+        n = max(len(f), len(g)) + 2
+        f = rng.permutation(np.concatenate([f, cloud(rng, n - len(f))]))
+        g = rng.permutation(np.concatenate([g, cloud(rng, n - len(g))]))
+        rows, cols = _unshared(np.concatenate([f, g]), n)
+        assert (Counter(map(complex, f[rows])), Counter(map(complex, g[cols]))) == (
+            oracle_unshared(f, g)
+        )
+        assert math.isclose(root_pseudometric(f, g), oracle_sum(f, g), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unshared_against_multiset_difference(self, seed):
+        rng = np.random.default_rng([18, seed])
+        pool = np.array([0.0, -0.0, 1.0, 1j, 1.0 + 1j, complex(2.0, -0.0), 2.0, 3.0j])
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            f, g = rng.choice(pool, n), rng.choice(pool, n)
+            rows, cols = _unshared(np.concatenate([f, g]), n)
+            assert (Counter(map(complex, f[rows])), Counter(map(complex, g[cols]))) == (
+                oracle_unshared(f, g)
+            )
+            assert math.isclose(root_pseudometric(f, g), oracle_sum(f, g), rel_tol=1e-15)
+
+    def test_2048_root_cloud_with_triples(self):
+        # the certificate's input on a wide root cloud: singletons pass
+        # through unchanged, each perturbed triple becomes its centroid
+        rng = np.random.default_rng(19)
+        singles = cloud(rng, 2048 - 3 * 64)
+        centers = cloud(rng, 64)
+        angles = 2 * np.pi * (np.arange(3) / 3 + rng.uniform(0, 0.02, (64, 3)))
+        triples = centers[:, None] + 1e-4 * np.exp(1j * angles)
+        centroids = [sum(t) / 3 for t in triples]
+        raw = np.concatenate([singles, triples.ravel()])
+        rebuilt = np.concatenate([singles, np.repeat(centroids, 3)])
+        raw, rebuilt = rng.permutation(raw), rng.permutation(rebuilt)
+        got = root_pseudometric(raw, rebuilt)
+        assert got > 0.0
+        assert bits(got) == bits(oracle_sum(raw, rebuilt))
