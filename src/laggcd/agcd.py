@@ -195,10 +195,7 @@ def approximate_gcd(
         if rep.backward_note:
             warns.append("%s rootfinding: %s" % (name, rep.backward_note))
 
-    if gcd.total_multiplicity() == 0:
-        gcd_poly = LagrangePoly([0.0], [1.0])
-    else:
-        gcd_poly = from_roots(gcd, _gcd_sample_nodes(gcd, p, q))
+    gcd_poly = from_roots(gcd, _gcd_sample_nodes(gcd, p, q))
     p_tilde_poly = from_roots(p_tilde, p.nodes)
     q_tilde_poly = from_roots(q_tilde, q.nodes)
 

@@ -12,7 +12,6 @@ Two interchangeable strategies:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -80,10 +79,6 @@ class ClusterStats:
 Item = Tuple[complex, int]
 
 
-def _sort_key(item: Item):
-    return (item[0].real, item[0].imag)
-
-
 def _merge_strip(points: List[Item], sigma: float, stats: Optional[ClusterStats]):
     """Repeatedly merge the closest pair within sigma, weighted-centroid style.
 
@@ -138,36 +133,24 @@ def cluster_dnc(
     """
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be >= 0")
-    items = [(complex(r), int(m)) for r, m in roots]
-    if not items:
-        return RootList()
-    while True:
-        out = sorted(_dnc(items, 0, len(items), sigma, stats), key=_sort_key)
-        if not fixpoint or out == items:
-            return RootList(out)
-        items = out
+    while roots.entries:
+        out = RootList(_dnc(roots.entries, 0, len(roots), sigma, stats))
+        if not fixpoint or out == roots:
+            return out
+        roots = out
+    return roots
 
 
 def _knn_candidates(points, active, m):
     """Each active point with its m - 1 nearest active neighbours, ranked
     by (abs(points[j] - points[i]), j) as a sort over all of them would.
 
-    The ranking comes from a kd-tree (see _nearest_rows). The tree takes
-    finite points only; non-finite input is ranked by that full sort.
+    The ranking comes from a kd-tree (see _nearest_rows).
     """
     z = np.array([points[i] for i in active], dtype=complex)
     xy = np.column_stack([z.real, z.imag])
-    if np.isfinite(xy).all():
-        act = np.array(active)
-        rows = [act[row].tolist() for row in _nearest_rows(z, xy, m)]
-    else:
-        rows = [
-            sorted(
-                (j for j in active if j != i),
-                key=lambda j: (abs(points[j] - points[i]), j),
-            )[: m - 1]
-            for i in active
-        ]
+    act = np.array(active)
+    rows = [act[row].tolist() for row in _nearest_rows(z, xy, m)]
     return sorted({tuple(sorted([i] + row)) for i, row in zip(active, rows)})
 
 
@@ -235,11 +218,10 @@ def _score_candidate(points, cand, m, radius_cap):
 
 
 def _coincident_runs(points) -> List[List[int]]:
-    """Indices of each finite value that occurs more than once, ascending."""
+    """Indices of each value that occurs more than once, ascending."""
     runs = {}
     for i, p in enumerate(points):
-        if cmath.isfinite(p):
-            runs.setdefault(p, []).append(i)
+        runs.setdefault(p, []).append(i)
     return [run for run in runs.values() if len(run) > 1]
 
 
@@ -255,7 +237,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     candidates score best of all, and the nearest-neighbour candidates
     cannot find them, since every distance among the copies ties.
     """
-    points = [complex(r) for r, mult in roots for _ in range(mult)]
+    points = [r for r, mult in roots for _ in range(mult)]
     active = set(range(len(points)))
     accepted: List[Item] = []
 

@@ -7,6 +7,7 @@ converts to monomial coefficients.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import (
     DuplicateNodesError,
     InsufficientNodesError,
+    InvalidParameterError,
     NearDuplicateNodesWarning,
 )
 
@@ -33,7 +35,7 @@ def barycentric_weights(nodes) -> np.ndarray:
     """
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
-        raise ValueError("nodes must be a non-empty 1-d sequence")
+        raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
     if len(x) == 1:
         return np.ones(1, dtype=complex)
     diff = x[:, None] - x[None, :]
@@ -70,9 +72,9 @@ class LagrangePoly:
         nodes = np.array(nodes, dtype=complex)
         values = np.array(values, dtype=complex)
         if nodes.ndim != 1 or values.ndim != 1:
-            raise ValueError("nodes and values must be 1-d sequences")
+            raise InvalidParameterError("nodes and values must be 1-d sequences")
         if len(nodes) != len(values) or len(nodes) == 0:
-            raise ValueError("need len(nodes) == len(values) >= 1")
+            raise InvalidParameterError("need len(nodes) == len(values) >= 1")
         weights = barycentric_weights(nodes)
         for arr in (nodes, values, weights):
             arr.flags.writeable = False
@@ -113,8 +115,11 @@ def evaluate(p: LagrangePoly, z):
 class RootList:
     """A multiset of complex roots with positive integer multiplicities.
 
-    Entries are kept sorted by (real part, imaginary part) so that all
-    downstream output is deterministic.
+    The invariant every stage relies on: each root is a finite Python
+    complex, each multiplicity an int >= 1, and the entries are sorted by
+    (real part, imaginary part), so that all downstream output is
+    deterministic. A NaN or infinite part, or a multiplicity below 1,
+    raises InvalidParameterError.
     """
 
     __slots__ = ("entries",)
@@ -122,10 +127,14 @@ class RootList:
     def __init__(self, entries: Iterable[Tuple[complex, int]] = ()):
         norm = []
         for root, mult in entries:
-            mult = int(mult)
+            root, mult = complex(root), int(mult)
+            if not cmath.isfinite(root):
+                raise InvalidParameterError("roots must be finite, got %r" % root)
             if mult < 1:
-                raise ValueError("multiplicities must be >= 1, got %d" % mult)
-            norm.append((complex(root), mult))
+                raise InvalidParameterError(
+                    "multiplicities must be >= 1, got %d" % mult
+                )
+            norm.append((root, mult))
         norm.sort(key=lambda e: (e[0].real, e[0].imag))
         self.entries: Tuple[Tuple[complex, int], ...] = tuple(norm)
 
@@ -173,7 +182,7 @@ def from_roots(
     """
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
-        raise ValueError("nodes must be a non-empty 1-d sequence")
+        raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
     deg = roots.total_multiplicity()
     if len(x) < deg + 1:
         raise InsufficientNodesError(

@@ -48,9 +48,9 @@ class Matching:
         lefts = [e.left for e in self.edges]
         rights = [e.right for e in self.edges]
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-            raise ValueError("matching edges share a vertex")
+            raise InvalidParameterError("matching edges share a vertex")
         if self.total_weight != sum(e.weight for e in self.edges):
-            raise ValueError("total_weight inconsistent with edges")
+            raise InvalidParameterError("total_weight inconsistent with edges")
 
 
 def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGraph:
@@ -61,21 +61,17 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
     sigma of its own and tests only that window, with the exact test
     abs(r - s) <= sigma. The window is widened by a few ulps so that
     rounding cannot drop a pair, and it is visited in ascending index, so
-    the edges and their (i, j) order are those of the all-pairs scan. Real
-    parts that are not in order (NaN) make every window the whole of Q.
+    the edges and their (i, j) order are those of the all-pairs scan.
     """
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be >= 0")
     right = roots_q.entries
     reals = [s.real for s, _ in right]
-    ordered = all(a <= b for a, b in zip(reals, reals[1:]))
     edges: List[Edge] = []
     for i, (r, dr) in enumerate(roots_p):
-        lo, hi = 0, len(right)
-        if ordered:  # a NaN bound bisects to the whole of Q
-            slack = sigma + 4 * _EPS * (abs(r.real) + sigma)
-            lo = bisect_left(reals, r.real - slack)
-            hi = bisect_right(reals, r.real + slack)
+        slack = sigma + 4 * _EPS * (abs(r.real) + sigma)
+        lo = bisect_left(reals, r.real - slack)
+        hi = bisect_right(reals, r.real + slack)
         for j in range(lo, hi):
             s, ds = right[j]
             d = abs(r - s)

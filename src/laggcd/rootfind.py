@@ -14,7 +14,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInputError, EigensolveFailureError
+from .errors import (
+    DegenerateInputError,
+    EigensolveFailureError,
+    InvalidParameterError,
+)
 from .lagpoly import LagrangePoly, evaluate
 
 # |beta| below this (relative to the largest |beta|) marks an eigenvalue
@@ -51,7 +55,7 @@ def build_pencil(p: LagrangePoly) -> CompanionPencil:
     the nodes on the trailing diagonal; c1 is the identity with (0,0) zeroed."""
     n = p.degree
     if n < 1:
-        raise ValueError("pencil requires nominal degree >= 1")
+        raise InvalidParameterError("pencil requires nominal degree >= 1")
     dim = n + 2
     c0 = np.zeros((dim, dim), dtype=complex)
     c0[0, 1:] = -p.values
@@ -76,7 +80,7 @@ def roots(p: LagrangePoly) -> RootfindReport:
     diagnostic note is attached rather than padding the list.
     """
     if p.degree < 1:
-        raise ValueError("rootfinding requires nominal degree >= 1")
+        raise InvalidParameterError("rootfinding requires nominal degree >= 1")
     if np.max(np.abs(p.values)) == 0.0:
         raise DegenerateInputError(
             "all sampled values are zero; the polynomial is identically zero"
@@ -99,20 +103,15 @@ def roots(p: LagrangePoly) -> RootfindReport:
 
     # The two smallest-|beta| eigenvalues are the pencil's structural
     # infinities; anything else with tiny beta or far outside the node
-    # region is a degree-deflation artifact.
-    order = np.argsort(np.abs(beta), kind="stable")
-    kept = []
-    note = None
-    for i in order[2:]:
-        if abs(beta[i]) <= SPURIOUS_BETA_RTOL * beta_scale:
-            continue
-        lam = alpha[i] / beta[i]
-        if abs(lam - center) > FAR_ROOT_FACTOR * spread:
-            continue
-        kept.append(lam)
-    kept.sort(key=lambda z: (z.real, z.imag))
-    found = np.array(kept, dtype=complex)
+    # region (a non-finite quotient included) is a degree-deflation artifact.
+    order = np.argsort(np.abs(beta), kind="stable")[2:]
+    alpha, beta = alpha[order], beta[order]
+    big = np.abs(beta) > SPURIOUS_BETA_RTOL * beta_scale
+    lam = alpha[big] / beta[big]
+    lam = lam[np.abs(lam - center) <= FAR_ROOT_FACTOR * spread]
+    found = lam[np.lexsort((lam.imag, lam.real))]
     discarded = pencil.dim - len(found)
+    note = None
     if len(found) < p.degree:
         note = (
             "sampled data appears to have degree %d < nominal %d; "

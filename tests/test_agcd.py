@@ -103,6 +103,8 @@ class TestApproximateGcd:
         assert res.gcd_degree == 0
         assert res.matching.total_weight == 0
         assert res.gcd_poly.degree == 0
+        assert res.gcd_poly.nodes.tobytes() == np.array([0j]).tobytes()
+        assert res.gcd_poly.values.tobytes() == np.array([1 + 0j]).tobytes()
         assert evaluate(res.gcd_poly, 123.0) == pytest.approx(1.0)
         # tilde polynomials keep each side's own clustered roots
         assert res.p_tilde_roots == res.p_clustered

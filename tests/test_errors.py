@@ -9,16 +9,21 @@ import laggcd
 from laggcd import (
     ClusterParams,
     DegenerateInputError,
+    Edge,
     EigensolveFailureError,
     InvalidParameterError,
     LagGcdError,
     LagrangePoly,
+    Matching,
     RootList,
     ZeroPolynomialError,
     approximate_gcd,
+    barycentric_weights,
     build_graph,
+    build_pencil,
     cluster_dnc,
     cluster_heuristic,
+    from_roots,
     greedy_mwm,
     reconstruct,
     root_pseudometric,
@@ -62,6 +67,29 @@ OPTION_ERRORS = {
     ),
     "reconstruct_side": lambda: reconstruct(
         RootList(), _empty_matching(), "middle", RootList()
+    ),
+    "weights_nodes_shape": lambda: barycentric_weights([[0.0, 1.0]]),
+    "poly_ndim": lambda: LagrangePoly([[0.0, 1.0]], [[1.0, 2.0]]),
+    "poly_lengths": lambda: LagrangePoly([0.0, 1.0], [1.0]),
+    "from_roots_nodes_shape": lambda: from_roots(RootList(), []),
+    "pencil_degree": lambda: build_pencil(LagrangePoly([0.0], [1.0])),
+    "roots_degree": lambda: roots(LagrangePoly([0.0], [1.0])),
+    "agcd_degree": lambda: approximate_gcd(
+        LagrangePoly([0.0], [1.0]), _poly(), ClusterParams(sigma=0.1)
+    ),
+    "matching_shared_vertex": lambda: Matching(
+        (Edge(0, 0, 1, 0.0), Edge(0, 1, 1, 0.0)), 2
+    ),
+    "matching_total": lambda: Matching((Edge(0, 0, 1, 0.0),), 2),
+    "rootlist_nan": lambda: RootList([(NAN, 1)]),
+    "rootlist_complex_nan": lambda: RootList([(0.0, 1), (complex(1.0, NAN), 1)]),
+    "rootlist_inf": lambda: RootList([(INF, 1)]),
+    "rootlist_minus_inf": lambda: RootList([(-INF, 2)]),
+    "rootlist_complex_inf": lambda: RootList([(complex(INF, 1.0), 1)]),
+    "rootlist_mult_zero": lambda: RootList([(1.0, 0)]),
+    # the merged centroid (1e308 + 1.5e308) / 2 overflows to inf
+    "dnc_centroid_overflow": lambda: cluster_dnc(
+        RootList([(1e308, 1), (1.5e308, 1)]), 1e308
     ),
 }
 

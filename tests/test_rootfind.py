@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from laggcd import (
     DegenerateInputError,
@@ -11,6 +12,7 @@ from laggcd import (
     pencil_determinant,
     roots,
 )
+from laggcd.rootfind import FAR_ROOT_FACTOR, SPURIOUS_BETA_RTOL
 from conftest import random_distinct_nodes
 
 
@@ -118,3 +120,49 @@ class TestRoots:
         r2 = roots(ref_p).roots
         assert np.array_equal(r1, r2)
         assert list(r1.real) == sorted(r1.real)
+
+
+def oracle_kept_eigenvalues(p):
+    """The eigenvalue filter of `roots` as a per-eigenvalue loop: skip the
+    two smallest |beta|, then tiny beta, then the far field."""
+    pencil = build_pencil(p)
+    alpha, beta = scipy.linalg.eig(
+        pencil.c0, pencil.c1, right=False, homogeneous_eigvals=True
+    )
+    beta_scale = max(1.0, float(np.abs(beta).max()))
+    center = p.nodes.mean()
+    spread = max(float(np.abs(p.nodes[:, None] - p.nodes[None, :]).max()), 1.0)
+    kept = []
+    for i in np.argsort(np.abs(beta), kind="stable")[2:]:
+        if abs(beta[i]) <= SPURIOUS_BETA_RTOL * beta_scale:
+            continue
+        lam = alpha[i] / beta[i]
+        if not abs(lam - center) <= FAR_ROOT_FACTOR * spread:
+            continue
+        kept.append(lam)
+    kept.sort(key=lambda z: (z.real, z.imag))
+    return np.array(kept, dtype=complex)
+
+
+FILTER_KINDS = ["real", "complex", "low_degree", "wide"]
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_eigenvalue_filter_matches_loop(kind):
+    rng = np.random.default_rng(FILTER_KINDS.index(kind))
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+        values = rng.standard_normal(n + 1)
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(n + 1)
+        elif kind == "low_degree":
+            planted = rng.uniform(-1, 1, int(rng.integers(0, n + 1)))
+            values = np.prod(nodes[:, None] - planted[None, :], axis=1)
+        elif kind == "wide":
+            nodes = 1000 * nodes
+        p = LagrangePoly(nodes, values)
+        report = roots(p)
+        want = oracle_kept_eigenvalues(p)
+        assert report.roots.tobytes() == want.tobytes()
+        assert report.discarded_count == build_pencil(p).dim - len(want)
