@@ -7,7 +7,13 @@ a bipartite graph, and the GCD plus nearby polynomial pair are assembled
 in root form and re-sampled wherever needed.
 """
 
-from .agcd import AgcdResult, approximate_gcd, assemble_gcd, reconstruct
+from .agcd import (
+    AgcdResult,
+    approximate_gcd,
+    assemble_gcd,
+    certify_distance,
+    reconstruct,
+)
 from .cluster import (
     ClusterParams,
     ClusterStats,
@@ -44,7 +50,7 @@ from .matching import (
     exact_mwm,
     greedy_mwm,
 )
-from .metric import RootVector, certify_distance, root_pseudometric
+from .metric import root_pseudometric
 from .rootfind import (
     CompanionPencil,
     RootfindReport,
@@ -74,7 +80,6 @@ __all__ = [
     "NearDuplicateNodesWarning",
     "ProblemFileError",
     "RootList",
-    "RootVector",
     "RootfindReport",
     "SizeGuardError",
     "Strategy",

@@ -9,17 +9,16 @@ or node/value form; results are monic by convention.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cluster import ClusterParams, cluster
-from .errors import InvalidParameterError, ZeroPolynomialError
+from .errors import DegenerateInputError, InvalidParameterError, ZeroPolynomialError
 from .lagpoly import LagrangePoly, RootList, from_roots
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
-from .metric import root_pseudometric
+from .metric import RHO_SUM, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
 
 # Relative tolerance used when deduplicating candidate sample nodes for the
@@ -100,6 +99,25 @@ def reconstruct(
     return RootList(entries)
 
 
+def certify_distance(
+    p: Union[LagrangePoly, RootList, Sequence[complex]],
+    pt: RootList,
+    sigma: float,
+    rho: str = RHO_SUM,
+) -> Tuple[float, bool]:
+    """Distance from p to the reconstructed pt, and whether it is within sigma.
+
+    p is a LagrangePoly, which is rootfound first, or a root vector.
+    Raises InvalidParameterError unless sigma >= 0.
+    """
+    if not sigma >= 0:  # also rejects nan
+        raise InvalidParameterError("sigma must be >= 0")
+    if isinstance(p, LagrangePoly):
+        p = find_roots(p).roots
+    d = root_pseudometric(p, pt, rho=rho)
+    return d, d <= sigma
+
+
 def _gcd_sample_nodes(gcd: RootList, p: LagrangePoly, q: LagrangePoly) -> np.ndarray:
     """Distinct nodes to carry the materialized GCD: the cluster centers
     plus 0, padded with Chebyshev points of the combined node hull."""
@@ -146,8 +164,9 @@ def approximate_gcd(
 
     A single sigma (params.sigma) drives clustering, edge construction and
     the distance certificate unless sigma_edge / sigma_cert override the
-    latter two. A failed certificate is reported as a warning with the
-    measured distances, not an error.
+    latter two. Diagnostics go only to AgcdResult.warnings: each failed
+    certify_distance with its distance, then each side's rootfinding note.
+    A side whose rootfinding keeps no root raises DegenerateInputError.
     """
     for poly, name in ((p, "P"), (q, "Q")):
         if np.max(np.abs(poly.values)) == 0.0:
@@ -157,6 +176,11 @@ def approximate_gcd(
 
     p_report = find_roots(p)
     q_report = find_roots(q)
+    for name, rep in (("P", p_report), ("Q", q_report)):
+        if len(rep.roots) == 0:
+            raise DegenerateInputError(
+                "%s rootfinding found no roots: %s" % (name, rep.backward_note)
+            )
     p_roots = RootList((r, 1) for r in p_report.roots)
     q_roots = RootList((r, 1) for r in q_report.roots)
     p_clustered = cluster(p_roots, params)
@@ -178,19 +202,14 @@ def approximate_gcd(
     cofactor_p = reconstruct(p_clustered, match, "left", RootList())
     cofactor_q = reconstruct(q_clustered, match, "right", RootList())
 
-    dist_p = root_pseudometric(p_report.roots, p_tilde.expand(), rho=rho)
-    dist_q = root_pseudometric(q_report.roots, q_tilde.expand(), rho=rho)
     budget = params.sigma if sigma_cert is None else sigma_cert
-    cert_p, cert_q = dist_p <= budget, dist_q <= budget
-    warns = []
-    for name, ok, d in (("P", cert_p, dist_p), ("Q", cert_q, dist_q)):
-        if not ok:
-            msg = (
-                "distance certificate failed for %s: d=%.6g > sigma=%.6g"
-                % (name, d, budget)
-            )
-            warns.append(msg)
-            _warnings.warn(msg, UserWarning, stacklevel=2)
+    dist_p, cert_p = certify_distance(p_report.roots, p_tilde, budget, rho=rho)
+    dist_q, cert_q = certify_distance(q_report.roots, q_tilde, budget, rho=rho)
+    warns = [
+        "distance certificate failed for %s: d=%.6g > sigma=%.6g" % (name, d, budget)
+        for name, ok, d in (("P", cert_p, dist_p), ("Q", cert_q, dist_q))
+        if not ok
+    ]
     for name, rep in (("P", p_report), ("Q", q_report)):
         if rep.backward_note:
             warns.append("%s rootfinding: %s" % (name, rep.backward_note))

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .agcd import AgcdResult, approximate_gcd
 from .cluster import ClusterParams, cluster as run_cluster
-from .errors import LagGcdError
+from .errors import LagGcdError, NearDuplicateNodesWarning
 from .lagpoly import LagrangePoly, RootList
 from .problemfile import SIGMA_STAGES, ProblemFile, load_points, load_problem
 from .rootfind import roots as find_roots
@@ -167,7 +167,8 @@ def cmd_agcd(args) -> int:
     rho = args.rho or pf.rho or "sum"
     p, q = LagrangePoly(pf.px, pf.py), LagrangePoly(pf.qx, pf.qy)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # surfaced via the JSON payload
+        # the outputs are resampled on P's and Q's nodes, which warned above
+        warnings.simplefilter("ignore", NearDuplicateNodesWarning)
         result = approximate_gcd(
             p,
             q,

@@ -8,6 +8,7 @@ converts to monomial coefficients.
 from __future__ import annotations
 
 import cmath
+import operator
 import warnings
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -118,8 +119,8 @@ class RootList:
     The invariant every stage relies on: each root is a finite Python
     complex, each multiplicity an int >= 1, and the entries are sorted by
     (real part, imaginary part), so that all downstream output is
-    deterministic. A NaN or infinite part, or a multiplicity below 1,
-    raises InvalidParameterError.
+    deterministic. A NaN or infinite part, or a multiplicity that is not
+    an integer of at least 1, raises InvalidParameterError.
     """
 
     __slots__ = ("entries",)
@@ -127,7 +128,13 @@ class RootList:
     def __init__(self, entries: Iterable[Tuple[complex, int]] = ()):
         norm = []
         for root, mult in entries:
-            root, mult = complex(root), int(mult)
+            root = complex(root)
+            try:
+                mult = operator.index(mult)
+            except TypeError:
+                raise InvalidParameterError(
+                    "multiplicities must be integers, got %r" % (mult,)
+                ) from None
             if not cmath.isfinite(root):
                 raise InvalidParameterError("roots must be finite, got %r" % root)
             if mult < 1:

@@ -18,13 +18,13 @@ pair first: there the swap can cost more (f = {-1, 0}, g = {0, 1} has
 distance 1, but pairing the shared 0 gives 2).
 
 Non-finite coordinates are rejected with InvalidParameterError for both
-rhos: a NaN or infinite root has no distance to anything.
+rhos: a NaN or infinite root has no distance to anything. The certificate
+built on this distance is agcd.certify_distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,25 +32,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InvalidParameterError, LengthMismatchError
-from .lagpoly import LagrangePoly, RootList
+from .lagpoly import RootList
 
 RHO_SUM = "sum"
 RHO_MAX = "max"
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """A polynomial's roots with multiplicity expanded, as a fixed-length tuple."""
-
-    coords: Tuple[complex, ...]
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
 def _coords(obj) -> np.ndarray:
-    if isinstance(obj, RootVector):
-        return np.asarray(obj.coords, dtype=complex)
     if isinstance(obj, RootList):
         return obj.expand()
     return np.asarray(obj, dtype=complex)
@@ -113,7 +101,7 @@ def _unshared(both: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
 def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     """Distance between two equal-length root vectors.
 
-    Accepts RootVector, RootList (multiplicity expanded) or any complex
+    A root vector is a RootList (multiplicity expanded) or any complex
     sequence. Raises LengthMismatchError when the lengths differ: the
     pseudometric is only defined between polynomials of the same degree.
     Raises InvalidParameterError for an unknown rho or a non-finite
@@ -141,24 +129,3 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     per_row = np.zeros(n)
     per_row[rows[r]] = dist[r, c]
     return float(per_row.sum()) / n
-
-
-def certify_distance(
-    p: Union[LagrangePoly, RootList, RootVector],
-    pt: RootList,
-    sigma: float,
-    rho: str = RHO_SUM,
-) -> Tuple[float, bool]:
-    """Distance from p to the reconstructed pt, and whether it is within sigma.
-
-    A LagrangePoly argument is rootfound first; RootLists are compared by
-    their multiplicity-expanded root vectors.
-    """
-    if isinstance(p, LagrangePoly):
-        from .rootfind import roots as _roots
-
-        pv = _roots(p).roots
-    else:
-        pv = _coords(p)
-    d = root_pseudometric(pv, pt.expand(), rho=rho)
-    return d, d <= sigma

@@ -3,6 +3,11 @@
 import json
 import os
 
+# One BLAS thread, set before numpy loads: the timing ratios of the
+# acceptance tests stay stable when other processes compete for the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -1,10 +1,13 @@
 """Pipeline assembly: GCD from a matching, nearby pair, certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from laggcd import (
     ClusterParams,
+    DegenerateInputError,
     LagrangePoly,
     RootList,
     ZeroPolynomialError,
@@ -136,6 +139,16 @@ class TestApproximateGcd:
         with pytest.raises(ZeroPolynomialError):
             approximate_gcd(ref_p, zero, ClusterParams(sigma=0.5))
 
+    def test_side_without_roots_is_numerical_error(self):
+        # a constant keeps none of its eigenvalues: no root vector to certify
+        const = LagrangePoly([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+        with pytest.raises(DegenerateInputError) as exc:
+            approximate_gcd(const, const, ClusterParams(sigma=0.5))
+        assert exc.value.exit_code == 3
+        assert str(exc.value).startswith(
+            "P rootfinding found no roots: sampled data appears to have degree 0"
+        )
+
     def test_degree_bookkeeping_random(self, rng):
         for _ in range(10):
             dp = int(rng.integers(2, 7))
@@ -191,12 +204,13 @@ class TestApproximateGcd:
         # force a tight certificate budget so the warning machinery fires
         p = from_roots(RootList([(0.0, 1), (1.0, 1)]), np.array([-2.0, 3.0, 4.0]))
         q = from_roots(RootList([(0.4, 1), (1.4, 1)]), np.array([-2.0, 3.0, 4.0]))
-        with pytest.warns(UserWarning, match="certificate failed"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = approximate_gcd(
                 p, q, ClusterParams(sigma=0.5), sigma_cert=1e-12
             )
         assert not res.cert_p
-        assert res.warnings
+        assert res.warnings[0].startswith("distance certificate failed for P: d=")
 
 
 def test_rootfinding_note_reaches_warnings():

@@ -264,6 +264,18 @@ class TestExitCodes:
         code, _, err = run(capsys, ["roots", str(path)])
         assert code == 3
 
+    def test_constant_side_is_numeric_error(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path, "const.json",
+            {"px": [0, 1, 2], "py": [1, 0, 3], "qx": [0, 1, 2], "qy": [5, 5, 5],
+             "sigma": 0.5},
+        )
+        code, out, err = run(capsys, ["agcd", path])
+        assert code == 3 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: Q rootfinding found no roots: ")
+
     def test_bad_points_entry(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", [[1.0, 0]])
         assert run(capsys, ["cluster", str(path), "--sigma", "1.0"])[0] == 2

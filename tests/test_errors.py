@@ -21,6 +21,7 @@ from laggcd import (
     barycentric_weights,
     build_graph,
     build_pencil,
+    certify_distance,
     cluster_dnc,
     cluster_heuristic,
     from_roots,
@@ -62,6 +63,13 @@ OPTION_ERRORS = {
     # inf == inf, so only a check before the pairing of equal roots sees it
     "metric_inf_shared": lambda: root_pseudometric([INF, 1.0], [INF, 1.0]),
     "metric_complex_nan": lambda: root_pseudometric([0.0], [complex(0.0, NAN)]),
+    "certify_sigma_nan": lambda: certify_distance([0.0], RootList([(0.0, 1)]), NAN),
+    "certify_sigma_negative": lambda: certify_distance(
+        [0.0], RootList([(0.0, 1)]), -1.0
+    ),
+    "agcd_sigma_cert_nan": lambda: approximate_gcd(
+        _poly(), _poly(), ClusterParams(sigma=0.1), sigma_cert=NAN
+    ),
     "agcd_matcher": lambda: approximate_gcd(
         _poly(), _poly(), ClusterParams(sigma=0.1), matcher="bogus"
     ),
@@ -87,6 +95,9 @@ OPTION_ERRORS = {
     "rootlist_minus_inf": lambda: RootList([(-INF, 2)]),
     "rootlist_complex_inf": lambda: RootList([(complex(INF, 1.0), 1)]),
     "rootlist_mult_zero": lambda: RootList([(1.0, 0)]),
+    "rootlist_mult_float": lambda: RootList([(0.0, 1.5)]),
+    "rootlist_mult_str": lambda: RootList([(0.0, "2")]),
+    "rootlist_mult_nan": lambda: RootList([(0.0, NAN)]),
     # the merged centroid (1e308 + 1.5e308) / 2 overflows to inf
     "dnc_centroid_overflow": lambda: cluster_dnc(
         RootList([(1e308, 1), (1.5e308, 1)]), 1e308

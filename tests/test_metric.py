@@ -9,7 +9,6 @@ from laggcd import (
     LagrangePoly,
     LengthMismatchError,
     RootList,
-    RootVector,
     certify_distance,
     from_roots,
     root_pseudometric,
@@ -54,7 +53,7 @@ class TestBasics:
 
     def test_accepts_rootlist_and_rootvector(self):
         rl = RootList([(1.0, 2)])
-        rv = RootVector((1.0 + 0j, 1.0 + 0j))
+        rv = (1.0 + 0j, 1.0 + 0j)
         assert root_pseudometric(rl, rv) == 0.0
 
     def test_single_coordinate_shift(self):
@@ -122,7 +121,7 @@ class TestCertify:
     def test_certificate_failure(self):
         f = [0.0, 1.0, 2.0]
         pt = RootList([(0.0, 1), (1.0, 1), (8.0, 1)])
-        d, ok = certify_distance(RootVector(tuple(map(complex, f))), pt, sigma=0.5)
+        d, ok = certify_distance(tuple(map(complex, f)), pt, sigma=0.5)
         assert not ok
         assert d == pytest.approx(2.0)
 
