@@ -100,20 +100,16 @@ def reconstruct(
 
 
 def certify_distance(
-    p: Union[LagrangePoly, RootList, Sequence[complex]],
+    p: Union[RootList, Sequence[complex]],
     pt: RootList,
     sigma: float,
     rho: str = RHO_SUM,
 ) -> Tuple[float, bool]:
-    """Distance from p to the reconstructed pt, and whether it is within sigma.
-
-    p is a LagrangePoly, which is rootfound first, or a root vector.
-    Raises InvalidParameterError unless sigma >= 0.
-    """
+    """Distance from the root vector p (a RootList or complex sequence) to
+    the reconstructed pt, and whether it is within sigma; raises
+    InvalidParameterError unless sigma >= 0."""
     if not sigma >= 0:  # also rejects nan
         raise InvalidParameterError("sigma must be >= 0")
-    if isinstance(p, LagrangePoly):
-        p = find_roots(p).roots
     d = root_pseudometric(p, pt, rho=rho)
     return d, d <= sigma
 

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from typing import Optional
 
 from .agcd import AgcdResult, approximate_gcd
@@ -69,10 +70,10 @@ def _run_params(args, pf: Optional[ProblemFile] = None):
     sigmas = {stage: given("sigma_" + stage, sigma) for stage in SIGMA_STAGES}
     options = {
         name: given(name)
-        for name in ("max_multiplicity", "strategy", "fuzz_factor")
+        for name in ("max_multiplicity", "strategy")
         if given(name) is not None
     }
-    params = ClusterParams(sigma=sigmas["cluster"], fixpoint=args.fixpoint, **options)
+    params = ClusterParams(sigma=sigmas["cluster"], **options)
     return sigma, sigmas, params
 
 
@@ -96,7 +97,7 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict) -> dict:
+def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict, notes: list) -> dict:
     return {
         "sigma": sigma,
         "sigmas": sigmas,
@@ -138,7 +139,7 @@ def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict) -> dict:
         "dist_q": result.dist_q,
         "cert_p": result.cert_p,
         "cert_q": result.cert_q,
-        "warnings": list(result.warnings),
+        "warnings": notes + result.warnings,
     }
 
 
@@ -161,11 +162,24 @@ def repr_complex(z: complex) -> str:
     return "%.17g%+.17gj" % (z.real, z.imag)
 
 
+def _sampled(name: str, x, y, notes: list) -> LagrangePoly:
+    """LagrangePoly(x, y), noting a NearDuplicateNodesWarning in notes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NearDuplicateNodesWarning)
+        poly = LagrangePoly(x, y)
+    for w in caught:  # shown as usual, the near-duplicate ones also noted
+        if issubclass(w.category, NearDuplicateNodesWarning):
+            notes.append("%s nodes: %s" % (name, w.message))
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return poly
+
+
 def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
     sigma, sigmas, params = _run_params(args, pf)
     rho = args.rho or pf.rho or "sum"
-    p, q = LagrangePoly(pf.px, pf.py), LagrangePoly(pf.qx, pf.qy)
+    notes = []
+    p, q = _sampled("P", pf.px, pf.py, notes), _sampled("Q", pf.qx, pf.qy, notes)
     with warnings.catch_warnings():
         # the outputs are resampled on P's and Q's nodes, which warned above
         warnings.simplefilter("ignore", NearDuplicateNodesWarning)
@@ -181,7 +195,7 @@ def cmd_agcd(args) -> int:
     if args.graph_csv:
         with open(args.graph_csv, "w") as fh:
             fh.write(_graph_csv(result))
-    _emit(json.dumps(_agcd_json(result, sigma, sigmas), indent=2), args.output)
+    _emit(json.dumps(_agcd_json(result, sigma, sigmas, notes), indent=2), args.output)
     return 0
 
 
@@ -189,14 +203,14 @@ def cmd_cluster(args) -> int:
     points = load_points(args.file)
     _, _, params = _run_params(args)
     clustered = run_cluster(points, params)
-    inputs = list(points.entries)
+    unused = Counter(points.entries)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["re", "im", "multiplicity", "cluster_id", "was_merged"])
     for idx, (r, m) in enumerate(clustered):
-        untouched = (r, m) in inputs
+        untouched = unused[r, m] > 0
         if untouched:
-            inputs.remove((r, m))
+            unused[r, m] -= 1
         writer.writerow(
             [
                 "%.17g" % r.real,
@@ -245,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sigma", type=_number(float, 0), required=sp is p_cluster)
         sp.add_argument("--strategy", choices=["dnc", "heuristic"])
         sp.add_argument("--max-mult", dest="max_multiplicity", type=_number(int, 1))
-        sp.add_argument("--fixpoint", action="store_true")
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=func)
     for stage in SIGMA_STAGES:
@@ -253,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_agcd.add_argument("--rho", choices=["sum", "max"])
     p_agcd.add_argument("--matcher", choices=["greedy", "exact"], default="greedy")
     p_agcd.add_argument("--graph-csv", metavar="PATH")
-    p_cluster.add_argument("--fuzz", dest="fuzz_factor", type=_number(float))
 
     return parser
 

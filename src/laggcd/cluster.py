@@ -13,7 +13,7 @@ Two interchangeable strategies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import List, Optional, Tuple
@@ -51,9 +51,7 @@ class Strategy(str, Enum):
 class ClusterParams:
     sigma: float
     max_multiplicity: int = 3
-    fuzz_factor: float = 1.0
     strategy: Strategy = Strategy.DNC
-    fixpoint: bool = False
 
     def __post_init__(self):
         try:
@@ -65,8 +63,6 @@ class ClusterParams:
             raise InvalidParameterError("sigma must be >= 0")
         if not self.max_multiplicity >= 1:
             raise InvalidParameterError("max_multiplicity must be >= 1")
-        if not self.fuzz_factor > 0:
-            raise InvalidParameterError("fuzz_factor must be > 0")
 
 
 @dataclass
@@ -120,25 +116,18 @@ def _dnc(q: List[Item], lo: int, hi: int, sigma: float, stats) -> List[Item]:
 
 
 def cluster_dnc(
-    roots: RootList,
-    sigma: float,
-    fixpoint: bool = False,
-    stats: Optional[ClusterStats] = None,
+    roots: RootList, sigma: float, stats: Optional[ClusterStats] = None
 ) -> RootList:
-    """Divide-and-conquer clustering at tolerance sigma.
+    """Divide-and-conquer clustering at tolerance sigma, in a single pass.
 
-    With fixpoint=True the pass is re-run until the output stabilizes;
-    the default single pass reproduces the reference behaviour in which
-    a chain like [1, 1.5, 2] at sigma 0.5 collapses only partially.
+    This is the reference behaviour: a chain like [1, 1.5, 2] at sigma 0.5
+    collapses only partially. An empty list comes back unchanged.
     """
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be >= 0")
-    while roots.entries:
-        out = RootList(_dnc(roots.entries, 0, len(roots), sigma, stats))
-        if not fixpoint or out == roots:
-            return out
-        roots = out
-    return roots
+    if not roots:
+        return roots
+    return RootList(_dnc(roots.entries, 0, len(roots), sigma, stats))
 
 
 def _knn_candidates(points, active, m):
@@ -264,11 +253,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
             cands = list(combinations(act, m))
         else:
             cands = _knn_candidates(points, act, m)
-        radius_cap = (
-            params.fuzz_factor * params.sigma ** (1.0 / m)
-            if params.sigma > 0
-            else 0.0
-        )
+        radius_cap = params.sigma ** (1.0 / m)
         scored = []
         for cand in cands:
             score = _score_candidate(points, cand, m, radius_cap)
@@ -282,8 +267,8 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     return RootList(accepted)
 
 
-def cluster(roots: RootList, params: ClusterParams, stats=None) -> RootList:
+def cluster(roots: RootList, params: ClusterParams) -> RootList:
     """Dispatch on params.strategy."""
     if params.strategy is Strategy.DNC:
-        return cluster_dnc(roots, params.sigma, fixpoint=params.fixpoint, stats=stats)
+        return cluster_dnc(roots, params.sigma)
     return cluster_heuristic(roots, params)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from laggcd import (
     ClusterParams,
@@ -224,3 +226,46 @@ def test_rootfinding_note_reaches_warnings():
         "P rootfinding: sampled data appears to have degree 2 < nominal 3; "
     )
     assert res.gcd_degree == 1
+
+
+# Planted pairs as the small batch benchmark draws them: degrees 4-16, a GCD
+# of 1-3 roots of multiplicity 1-3, all distinct roots at least 3 sigma apart
+# in [-0.9, 0.9] (grid slots 4.5 sigma apart, each jittered by at most
+# 0.75 sigma), samples at Chebyshev points with relative noise 1e-10.
+SWAP_SIGMA = 1e-2
+SWAP_SLOTS = np.arange(-0.9 + 0.75 * SWAP_SIGMA, 0.9 - 0.75 * SWAP_SIGMA, 4.5 * SWAP_SIGMA)
+
+
+@st.composite
+def planted_pairs(draw):
+    deg_p, deg_q = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    assume(sum(mults) < min(deg_p, deg_q))
+    n_a, n_b = deg_p - sum(mults), deg_q - sum(mults)
+    count = len(mults) + n_a + n_b
+    slots = draw(st.lists(st.sampled_from(range(len(SWAP_SLOTS))),
+                          min_size=count, max_size=count, unique=True))
+    jitter = draw(st.lists(st.floats(-0.75 * SWAP_SIGMA, 0.75 * SWAP_SIGMA),
+                           min_size=count, max_size=count))
+    pts = SWAP_SLOTS[slots] + np.array(jitter)
+    g = np.repeat(pts[: len(mults)], mults)
+    sides = []
+    for roots_ in (pts[len(mults) : len(mults) + n_a], pts[len(mults) + n_a :]):
+        nodes = np.sort(cheb_nodes(len(g) + len(roots_) + 1, -1.0, 1.0))
+        values = np.prod(nodes[:, None] - np.concatenate([g, roots_])[None, :], axis=1)
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(nodes),
+                              max_size=len(nodes)))
+        sides.append(LagrangePoly(nodes, values * (1.0 + 1e-10 * np.array(noise))))
+    return sides
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(planted_pairs())
+def test_swapping_p_and_q_swaps_the_result(pair):
+    p, q = pair
+    pq = approximate_gcd(p, q, ClusterParams(sigma=SWAP_SIGMA))
+    qp = approximate_gcd(q, p, ClusterParams(sigma=SWAP_SIGMA))
+    assert qp.gcd_roots == pq.gcd_roots
+    assert (qp.cofactor_p, qp.cofactor_q) == (pq.cofactor_q, pq.cofactor_p)
+    assert (qp.dist_p, qp.dist_q) == (pq.dist_q, pq.dist_p)
+    assert (qp.cert_p, qp.cert_q) == (pq.cert_q, pq.cert_p)

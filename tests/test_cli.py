@@ -202,6 +202,15 @@ class TestCluster:
         body = list(csv.reader(io.StringIO(out)))[1:]
         assert len(body) == 1 and int(body[0][2]) == 3
 
+    def test_repeated_entry_merges_once(self, capsys, tmp_path):
+        # two of three equal entries merge into a double; the third is the
+        # input entry left untouched
+        path = write_json(tmp_path, "pts.json", [[1.0, 1], [1.0, 1], [1.0, 1]])
+        argv = ["--strategy", "heuristic", "--max-mult", "2", "--sigma", "1e-6"]
+        code, out, _ = run(capsys, ["cluster", path] + argv)
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,0,2,0,true", "1,0,1,1,false"]
+
     def test_empty_points_file(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", [])
         code, out, _ = run(capsys, ["cluster", path, "--sigma", "1.0"])
@@ -316,8 +325,6 @@ class TestExitCodes:
         "sigma_cluster": ["agcd", "PROBLEM", "--sigma-cluster", "inf"],
         "sigma_edge": ["agcd", "PROBLEM", "--sigma-edge", "Infinity"],
         "sigma_cert": ["agcd", "PROBLEM", "--sigma-cert", "inf"],
-        "fuzz": ["cluster", "POINTS", "--sigma", "1", "--fuzz", "inf"],
-        "fuzz_negative": ["cluster", "POINTS", "--sigma", "1", "--fuzz=-inf"],
     }
 
     @pytest.mark.parametrize("argv", INFINITE_FLAGS.values(), ids=INFINITE_FLAGS.keys())
@@ -350,19 +357,23 @@ class TestExitCodes:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--sigma", "1", "--fuzz", "0"],
-            ["--sigma", "1e-9", "--fuzz", "nan", "--strategy", "heuristic"],
-        ],
-        ids=["fuzz_zero", "fuzz_nan"],
-    )
-    def test_bad_fuzz_is_input_error(self, capsys, tmp_path, argv):
-        path = write_json(tmp_path, "pts.json", [[0.0, 1], [1e-3, 1]])
-        code, out, err = run(capsys, ["cluster", path] + argv)
-        assert code == 2 and out == ""
-        assert err.strip().splitlines() == ["error: fuzz_factor must be > 0"]
+    REMOVED_FLAGS = {
+        "agcd_fixpoint": ["agcd", "PROBLEM", "--fixpoint"],
+        "cluster_fixpoint": ["cluster", "POINTS", "--sigma", "1", "--fixpoint"],
+        "cluster_fuzz": ["cluster", "POINTS", "--sigma", "1", "--fuzz", "1"],
+    }
+
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
+    def test_removed_flag_is_input_error(self, capsys, problem_file, tmp_path, argv):
+        points = write_json(tmp_path, "pts.json", [[0.0, 1], [1e-3, 1]])
+        argv = [{"POINTS": points, "PROBLEM": problem_file}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag = next(a for a in argv if a in ("--fixpoint", "--fuzz"))
+        assert "error: unrecognized arguments: " + flag in captured.err
 
 
 class TestInputWarnings:
@@ -373,6 +384,10 @@ class TestInputWarnings:
             {"px": nodes, "py": [(x - 1) * (x - 3) * (x + 1) for x in nodes],
              "qx": [0.0, 1.0, 3.0], "qy": [1.0, 0.0, 4.0], "sigma": 1e-3},
         )
-        with pytest.warns(NearDuplicateNodesWarning):
-            code, _, _ = run(capsys, ["agcd", path])
+        with pytest.warns(NearDuplicateNodesWarning) as caught:
+            code, out, _ = run(capsys, ["agcd", path])
         assert code == 0
+        assert len(caught) == 1
+        notes = json.loads(out)["warnings"]
+        assert notes[0] == "P nodes: %s" % caught[0].message
+        assert not any(note.startswith("Q nodes") for note in notes)

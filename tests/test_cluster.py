@@ -76,14 +76,6 @@ class TestDnC:
         b = cluster_dnc(singles(pts), 0.05)
         assert a == b
 
-    def test_fixpoint_is_stable(self, rng):
-        for _ in range(20):
-            pts = list(rng.uniform(0, 1, 15) + 1j * rng.uniform(0, 1, 15))
-            out = cluster_dnc(singles(pts), 0.15, fixpoint=True)
-            again = cluster_dnc(out, 0.15)
-            assert again == out
-            assert out.total_multiplicity() == 15
-
     def test_comparison_counting(self):
         stats = ClusterStats()
         cluster_dnc(singles([1.0, 1.5, 2.0]), 0.5, stats=stats)

@@ -48,8 +48,6 @@ OPTION_ERRORS = {
     "params_sigma_nan": lambda: ClusterParams(sigma=NAN),
     "params_max_mult": lambda: ClusterParams(sigma=1.0, max_multiplicity=0),
     "params_max_mult_nan": lambda: ClusterParams(sigma=1.0, max_multiplicity=NAN),
-    "params_fuzz": lambda: ClusterParams(sigma=1.0, fuzz_factor=0.0),
-    "params_fuzz_nan": lambda: ClusterParams(sigma=1.0, fuzz_factor=NAN),
     "params_strategy": lambda: ClusterParams(sigma=1.0, strategy="bogus"),
     "dnc_sigma": lambda: cluster_dnc(RootList(), -1.0),
     "dnc_sigma_nan": lambda: cluster_dnc(RootList(), NAN),

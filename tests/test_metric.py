@@ -12,6 +12,7 @@ from laggcd import (
     certify_distance,
     from_roots,
     root_pseudometric,
+    roots as find_roots,
 )
 from conftest import PX, PY
 
@@ -105,8 +106,8 @@ class TestAxioms:
         p = from_roots(roots, nodes, leading_coeff=1.0)
         cp = from_roots(roots, nodes, leading_coeff=-17.0)
         # budget dominated by double-root splitting in the rootfinder
-        d, ok = certify_distance(p, roots, sigma=1e-5)
-        dc, okc = certify_distance(cp, roots, sigma=1e-5)
+        d, ok = certify_distance(find_roots(p).roots, roots, sigma=1e-5)
+        dc, okc = certify_distance(find_roots(cp).roots, roots, sigma=1e-5)
         assert ok and okc
         assert d == pytest.approx(dc, abs=1e-6)
 
@@ -114,7 +115,7 @@ class TestAxioms:
 class TestCertify:
     def test_reference_certificate(self, ref_p):
         pt = RootList([(1.63375, 4), (2.8, 2), (1.0, 1)])
-        d, ok = certify_distance(ref_p, pt, sigma=0.5)
+        d, ok = certify_distance(find_roots(ref_p).roots, pt, sigma=0.5)
         assert ok
         assert d < 0.2
 
