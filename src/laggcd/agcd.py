@@ -29,10 +29,6 @@ NODE_DEDUP_RTOL = 1e-7
 
 @dataclass
 class AgcdResult:
-    sigma: float
-    rho: str
-    matcher: str
-    strategy: str
     gcd_roots: RootList
     gcd_poly: LagrangePoly
     p_tilde_roots: RootList
@@ -49,8 +45,6 @@ class AgcdResult:
     cert_q: bool
     p_report: RootfindReport
     q_report: RootfindReport
-    p_clustered: RootList
-    q_clustered: RootList
     warnings: List[str] = field(default_factory=list)
 
     @property
@@ -153,16 +147,16 @@ def approximate_gcd(
     params: ClusterParams,
     matcher: str = "greedy",
     rho: str = "sum",
-    sigma_edge: Optional[float] = None,
-    sigma_cert: Optional[float] = None,
+    sigma: Optional[float] = None,
 ) -> AgcdResult:
     """Run the full pipeline on a pair of sampled polynomials.
 
-    A single sigma (params.sigma) drives clustering, edge construction and
-    the distance certificate unless sigma_edge / sigma_cert override the
-    latter two. Diagnostics go only to AgcdResult.warnings: each failed
-    certify_distance with its distance, then each side's rootfinding note.
-    A side whose rootfinding keeps no root raises DegenerateInputError.
+    params.sigma drives clustering; sigma (default params.sigma) bounds
+    both the graph's edges and the distance certificate. The clustered
+    roots are the graph's left (P) and right (Q) sides. Diagnostics go
+    only to AgcdResult.warnings: each failed certify_distance with its
+    distance, then each side's rootfinding note. A side whose rootfinding
+    keeps no root raises DegenerateInputError.
     """
     for poly, name in ((p, "P"), (q, "Q")):
         if np.max(np.abs(poly.values)) == 0.0:
@@ -182,9 +176,8 @@ def approximate_gcd(
     p_clustered = cluster(p_roots, params)
     q_clustered = cluster(q_roots, params)
 
-    graph = build_graph(
-        p_clustered, q_clustered, params.sigma if sigma_edge is None else sigma_edge
-    )
+    sigma = params.sigma if sigma is None else sigma
+    graph = build_graph(p_clustered, q_clustered, sigma)
     match = exact_mwm(graph) if matcher == "exact" else greedy_mwm(graph)
     gcd = assemble_gcd(match, graph)
     p_tilde = reconstruct(p_clustered, match, "left", gcd)
@@ -198,11 +191,10 @@ def approximate_gcd(
     cofactor_p = reconstruct(p_clustered, match, "left", RootList())
     cofactor_q = reconstruct(q_clustered, match, "right", RootList())
 
-    budget = params.sigma if sigma_cert is None else sigma_cert
-    dist_p, cert_p = certify_distance(p_report.roots, p_tilde, budget, rho=rho)
-    dist_q, cert_q = certify_distance(q_report.roots, q_tilde, budget, rho=rho)
+    dist_p, cert_p = certify_distance(p_report.roots, p_tilde, sigma, rho=rho)
+    dist_q, cert_q = certify_distance(q_report.roots, q_tilde, sigma, rho=rho)
     warns = [
-        "distance certificate failed for %s: d=%.6g > sigma=%.6g" % (name, d, budget)
+        "distance certificate failed for %s: d=%.6g > sigma=%.6g" % (name, d, sigma)
         for name, ok, d in (("P", cert_p, dist_p), ("Q", cert_q, dist_q))
         if not ok
     ]
@@ -215,10 +207,6 @@ def approximate_gcd(
     q_tilde_poly = from_roots(q_tilde, q.nodes)
 
     return AgcdResult(
-        sigma=params.sigma,
-        rho=rho,
-        matcher=matcher,
-        strategy=params.strategy.value,
         gcd_roots=gcd,
         gcd_poly=gcd_poly,
         p_tilde_roots=p_tilde,
@@ -235,7 +223,5 @@ def approximate_gcd(
         cert_q=cert_q,
         p_report=p_report,
         q_report=q_report,
-        p_clustered=p_clustered,
-        q_clustered=q_clustered,
         warnings=warns,
     )

@@ -26,7 +26,7 @@ from .agcd import AgcdResult, approximate_gcd
 from .cluster import ClusterParams, cluster as run_cluster
 from .errors import LagGcdError, NearDuplicateNodesWarning
 from .lagpoly import LagrangePoly, RootList
-from .problemfile import SIGMA_STAGES, ProblemFile, load_points, load_problem
+from .problemfile import ProblemFile, load_points, load_problem
 from .rootfind import roots as find_roots
 
 def _cnum(z: complex):
@@ -55,9 +55,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _run_params(args, pf: Optional[ProblemFile] = None):
-    """Base sigma, a sigma for each of SIGMA_STAGES, and ClusterParams.
+    """Base sigma and ClusterParams.
 
-    Each value comes from its flag, else from the problem file; a stage
+    Each value comes from its flag, else from the problem file; the cluster
     sigma still unset is the base sigma, and any other option still unset
     keeps its ClusterParams default.
     """
@@ -67,14 +67,12 @@ def _run_params(args, pf: Optional[ProblemFile] = None):
         return default if value is None else value
 
     sigma = given("sigma")
-    sigmas = {stage: given("sigma_" + stage, sigma) for stage in SIGMA_STAGES}
     options = {
         name: given(name)
         for name in ("max_multiplicity", "strategy")
         if given(name) is not None
     }
-    params = ClusterParams(sigma=sigmas["cluster"], **options)
-    return sigma, sigmas, params
+    return sigma, ClusterParams(sigma=given("sigma_cluster", sigma), **options)
 
 
 def cmd_roots(args) -> int:
@@ -97,13 +95,9 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict, notes: list) -> dict:
+def _agcd_json(result: AgcdResult, settings: dict, notes: list) -> dict:
     return {
-        "sigma": sigma,
-        "sigmas": sigmas,
-        "rho": result.rho,
-        "matcher": result.matcher,
-        "strategy": result.strategy,
+        **settings,
         "gcd": {
             "degree": result.gcd_degree,
             "roots": _rootlist_json(result.gcd_roots),
@@ -133,8 +127,8 @@ def _agcd_json(result: AgcdResult, sigma: float, sigmas: dict, notes: list) -> d
         },
         "p_roots": [_cnum(r) for r in result.p_report.roots],
         "q_roots": [_cnum(r) for r in result.q_report.roots],
-        "p_clustered": _rootlist_json(result.p_clustered),
-        "q_clustered": _rootlist_json(result.q_clustered),
+        "p_clustered": _rootlist_json(result.graph.left),
+        "q_clustered": _rootlist_json(result.graph.right),
         "dist_p": result.dist_p,
         "dist_q": result.dist_q,
         "cert_p": result.cert_p,
@@ -176,7 +170,7 @@ def _sampled(name: str, x, y, notes: list) -> LagrangePoly:
 
 def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
-    sigma, sigmas, params = _run_params(args, pf)
+    sigma, params = _run_params(args, pf)
     rho = args.rho or pf.rho or "sum"
     notes = []
     p, q = _sampled("P", pf.px, pf.py, notes), _sampled("Q", pf.qx, pf.qy, notes)
@@ -184,24 +178,25 @@ def cmd_agcd(args) -> int:
         # the outputs are resampled on P's and Q's nodes, which warned above
         warnings.simplefilter("ignore", NearDuplicateNodesWarning)
         result = approximate_gcd(
-            p,
-            q,
-            params,
-            matcher=args.matcher,
-            rho=rho,
-            sigma_edge=sigmas["edge"],
-            sigma_cert=sigmas["cert"],
+            p, q, params, matcher=args.matcher, rho=rho, sigma=sigma
         )
     if args.graph_csv:
         with open(args.graph_csv, "w") as fh:
             fh.write(_graph_csv(result))
-    _emit(json.dumps(_agcd_json(result, sigma, sigmas, notes), indent=2), args.output)
+    settings = {
+        "sigma": sigma,
+        "sigmas": {"cluster": params.sigma, "edge": sigma, "cert": sigma},
+        "rho": rho,
+        "matcher": args.matcher,
+        "strategy": params.strategy.value,
+    }
+    _emit(json.dumps(_agcd_json(result, settings, notes), indent=2), args.output)
     return 0
 
 
 def cmd_cluster(args) -> int:
     points = load_points(args.file)
-    _, _, params = _run_params(args)
+    _, params = _run_params(args)
     clustered = run_cluster(points, params)
     unused = Counter(points.entries)
     buf = io.StringIO()
@@ -261,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-mult", dest="max_multiplicity", type=_number(int, 1))
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=func)
-    for stage in SIGMA_STAGES:
-        p_agcd.add_argument("--sigma-" + stage, type=_number(float, 0))
+    p_agcd.add_argument("--sigma-cluster", type=_number(float, 0))
     p_agcd.add_argument("--rho", choices=["sum", "max"])
     p_agcd.add_argument("--matcher", choices=["greedy", "exact"], default="greedy")
     p_agcd.add_argument("--graph-csv", metavar="PATH")

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    DegenerateInputError,
     DuplicateNodesError,
     InsufficientNodesError,
     InvalidParameterError,
@@ -32,11 +33,16 @@ def barycentric_weights(nodes) -> np.ndarray:
 
     A single node yields [1]. The node differences are formed once, both
     to check the gaps and to take the products: coincident nodes raise
-    DuplicateNodesError, dangerously small gaps warn.
+    DuplicateNodesError, dangerously small gaps warn. A NaN or infinite
+    node raises InvalidParameterError; a weight whose product overflows or
+    underflows (infinite, NaN or exactly 0) raises DegenerateInputError.
     """
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise InvalidParameterError("nodes must be finite, got %s" % x[~finite][0])
     if len(x) == 1:
         return np.ones(1, dtype=complex)
     diff = x[:, None] - x[None, :]
@@ -58,7 +64,15 @@ def barycentric_weights(nodes) -> np.ndarray:
             stacklevel=3,
         )
     np.fill_diagonal(diff, 1.0)
-    return 1.0 / diff.prod(axis=1)
+    with np.errstate(all="ignore"):
+        weights = 1.0 / diff.prod(axis=1)
+    bad = np.count_nonzero(~np.isfinite(weights) | (weights == 0))
+    if bad:
+        raise DegenerateInputError(
+            "%d of the %d barycentric weights overflow or underflow "
+            "(node spread %.3e)" % (bad, len(x), spread)
+        )
+    return weights
 
 
 class LagrangePoly:
@@ -119,8 +133,9 @@ class RootList:
     The invariant every stage relies on: each root is a finite Python
     complex, each multiplicity an int >= 1, and the entries are sorted by
     (real part, imaginary part), so that all downstream output is
-    deterministic. A NaN or infinite part, or a multiplicity that is not
-    an integer of at least 1, raises InvalidParameterError.
+    deterministic. A root that is not a number (a string included), a NaN
+    or infinite part, or a multiplicity that is not an integer of at least
+    1, raises InvalidParameterError.
     """
 
     __slots__ = ("entries",)
@@ -128,12 +143,13 @@ class RootList:
     def __init__(self, entries: Iterable[Tuple[complex, int]] = ()):
         norm = []
         for root, mult in entries:
-            root = complex(root)
-            try:
-                mult = operator.index(mult)
-            except TypeError:
+            try:  # a string is no number, though complex() would parse "1"
+                if isinstance(root, (str, bytes)):
+                    raise TypeError
+                root, mult = complex(root), operator.index(mult)
+            except (TypeError, ValueError):
                 raise InvalidParameterError(
-                    "multiplicities must be integers, got %r" % (mult,)
+                    "entries must be (number, integer), got %r" % ((root, mult),)
                 ) from None
             if not cmath.isfinite(root):
                 raise InvalidParameterError("roots must be finite, got %r" % root)

@@ -35,7 +35,6 @@ class Edge:
 class MatchGraph:
     left: RootList
     right: RootList
-    sigma: float
     edges: Tuple[Edge, ...]
 
 
@@ -77,7 +76,7 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
             d = abs(r - s)
             if d <= sigma:
                 edges.append(Edge(i, j, min(dr, ds), d))
-    return MatchGraph(left=roots_p, right=roots_q, sigma=sigma, edges=tuple(edges))
+    return MatchGraph(left=roots_p, right=roots_q, edges=tuple(edges))
 
 
 def greedy_mwm(g: MatchGraph) -> Matching:

@@ -6,11 +6,11 @@ tolerance:
     {
       "px": [...], "py": [...],      # nodes and values of P, same length
       "qx": [...], "qy": [...],      # nodes and values of Q, same length
-      "sigma": 0.5,
+      "sigma": 0.5,                  # bounds edges and certificate
       "strategy": "dnc",             # optional: "dnc" | "heuristic"
       "maxMultiplicity": 3,          # optional
       "rho": "sum",                  # optional: "sum" | "max"
-      "sigmaOverrides": {"cluster": ..., "edge": ..., "cert": ...}  # optional
+      "sigmaOverrides": {"cluster": 1e-3}  # optional; else clusters at sigma
     }
 
 Numbers are plain reals or [re, im] pairs, all finite doubles. A points
@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import ProblemFileError
 from .lagpoly import RootList
-
-SIGMA_STAGES = ("cluster", "edge", "cert")  # the keys of "sigmaOverrides"
 
 
 def _is_number(v) -> bool:
@@ -77,8 +75,6 @@ class ProblemFile:
     max_multiplicity: Optional[int] = None
     rho: Optional[str] = None
     sigma_cluster: Optional[float] = None
-    sigma_edge: Optional[float] = None
-    sigma_cert: Optional[float] = None
 
 
 def parse_problem(data: dict) -> ProblemFile:
@@ -96,17 +92,16 @@ def parse_problem(data: dict) -> ProblemFile:
     if len(qx) != len(qy) or len(qx) < 2:
         raise ProblemFileError("qx and qy must have equal length >= 2")
     sigma = _tolerance(data["sigma"], "sigma")
-    overrides = data.get("sigmaOverrides") or {}
-    if not isinstance(overrides, dict):
-        raise ProblemFileError("sigmaOverrides must be an object")
-    bad = sorted(set(overrides) - set(SIGMA_STAGES))
+    overrides = data.get("sigmaOverrides")
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ProblemFileError("sigmaOverrides must be an object or null")
+    overrides = overrides or {}
+    bad = sorted(set(overrides) - {"cluster"})
     if bad:
-        raise ProblemFileError("sigmaOverrides %s not in %s" % (bad, SIGMA_STAGES))
-    stage = {
-        "sigma_" + key: _tolerance(value, "sigmaOverrides." + key)
-        for key, value in overrides.items()
-        if value is not None
-    }
+        raise ProblemFileError("sigmaOverrides %s: the only key is 'cluster'" % bad)
+    sigma_cluster = overrides.get("cluster")
+    if sigma_cluster is not None:
+        sigma_cluster = _tolerance(sigma_cluster, "sigmaOverrides.cluster")
     for key, choices in (("strategy", ("dnc", "heuristic")), ("rho", ("sum", "max"))):
         if data.get(key) not in (None, *choices):
             raise ProblemFileError("%s must be one of %s" % (key, choices))
@@ -122,7 +117,7 @@ def parse_problem(data: dict) -> ProblemFile:
         strategy=data.get("strategy"),
         max_multiplicity=max_mult,
         rho=data.get("rho"),
-        **stage,
+        sigma_cluster=sigma_cluster,
     )
 
 

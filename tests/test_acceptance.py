@@ -213,7 +213,7 @@ def test_criterion_06_greedy_half_bound(capsys, rng):
         )
         left = RootList((k, 1) for k in range(nl))
         right = RootList((k, 1) for k in range(nr))
-        g = MatchGraph(left=left, right=right, sigma=0.0, edges=edges)
+        g = MatchGraph(left=left, right=right, edges=edges)
         if 2 * greedy_mwm(g).total_weight < exact_mwm(g).total_weight:
             violations += 1
     ok = violations == 0

@@ -112,7 +112,7 @@ class TestApproximateGcd:
         assert res.gcd_poly.values.tobytes() == np.array([1 + 0j]).tobytes()
         assert evaluate(res.gcd_poly, 123.0) == pytest.approx(1.0)
         # tilde polynomials keep each side's own clustered roots
-        assert res.p_tilde_roots == res.p_clustered
+        assert res.p_tilde_roots == res.graph.left
 
     def test_exact_recovery_synthetic(self):
         g0 = RootList([(-2.0, 1), (3.0, 2)])
@@ -203,14 +203,13 @@ class TestApproximateGcd:
         assert evaluate(res.gcd_poly, z) == pytest.approx(want, rel=1e-9)
 
     def test_certificate_warning_path(self, rng):
-        # force a tight certificate budget so the warning machinery fires
-        p = from_roots(RootList([(0.0, 1), (1.0, 1)]), np.array([-2.0, 3.0, 4.0]))
+        # a cluster sigma above sigma merges P's roots 0 and 0.3 into a
+        # double at 0.15, which costs d = 0.15 > sigma = 0.1
+        p = from_roots(RootList([(0.0, 1), (0.3, 1)]), np.array([-2.0, 3.0, 4.0]))
         q = from_roots(RootList([(0.4, 1), (1.4, 1)]), np.array([-2.0, 3.0, 4.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = approximate_gcd(
-                p, q, ClusterParams(sigma=0.5), sigma_cert=1e-12
-            )
+            res = approximate_gcd(p, q, ClusterParams(sigma=0.5), sigma=0.1)
         assert not res.cert_p
         assert res.warnings[0].startswith("distance certificate failed for P: d=")
 

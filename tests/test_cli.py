@@ -19,8 +19,9 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
-def simple_problem(tmp_path, p_roots, q_roots, sigma, name="simple.json"):
-    """Problem file for polynomials with the given (simple) roots."""
+def simple_problem(tmp_path, p_roots, q_roots, sigma, name="simple.json", **extra):
+    """Problem file for polynomials with the given (simple) roots, plus
+    any extra top-level fields."""
     def side(rl):
         rl = RootList((r, 1) for r in rl)
         n = rl.total_multiplicity() + 1
@@ -31,7 +32,9 @@ def simple_problem(tmp_path, p_roots, q_roots, sigma, name="simple.json"):
     px, py = side(p_roots)
     qx, qy = side(q_roots)
     return write_json(
-        tmp_path, name, {"px": px, "py": py, "qx": qx, "qy": qy, "sigma": sigma}
+        tmp_path,
+        name,
+        {"px": px, "py": py, "qx": qx, "qy": qy, "sigma": sigma, **extra},
     )
 
 
@@ -134,19 +137,17 @@ class TestAgcd:
             assert abs(g - w) <= 1e-8
 
     def test_sigma_overrides_in_file(self, capsys, tmp_path):
-        path = write_json(
-            tmp_path,
-            "ov.json",
-            {
-                "px": PX, "py": PY, "qx": QX, "qy": QY, "sigma": 0.5,
-                "sigmaOverrides": {"cert": 1e-12},
-            },
+        # a cluster sigma above sigma merges P's roots 0 and 0.3 into a
+        # double at 0.15, which costs d = 0.15 > sigma = 0.1
+        path = simple_problem(
+            tmp_path, [0.0, 0.3], [5.0, 7.0], 0.1, sigmaOverrides={"cluster": 0.5}
         )
         code, out, _ = run(capsys, ["agcd", path])
         assert code == 0
         payload = json.loads(out)
+        assert payload["p_clustered"] == [[[pytest.approx(0.15), 0.0], 2]]
         assert not payload["cert_p"]
-        assert payload["warnings"]
+        assert payload["warnings"][0].startswith("distance certificate failed for P")
 
     def test_payload_reports_base_sigma_and_stage_sigmas(self, capsys, tmp_path):
         path = write_json(
@@ -285,6 +286,19 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: Q rootfinding found no roots: ")
 
+    def test_overflowing_weights_are_numeric_error(self, capsys, tmp_path):
+        nodes = list(np.linspace(0.0, 1000.0, 150))
+        path = write_json(
+            tmp_path, "wide.json",
+            {"px": nodes, "py": [1.0] * 150, "qx": [0, 1], "qy": [1, 2],
+             "sigma": 0.5},
+        )
+        code, out, err = run(capsys, ["agcd", path])
+        assert code == 3 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: 150 of the 150 barycentric weights ")
+
     def test_bad_points_entry(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", [[1.0, 0]])
         assert run(capsys, ["cluster", str(path), "--sigma", "1.0"])[0] == 2
@@ -297,12 +311,12 @@ class TestExitCodes:
         path = write_json(
             tmp_path, "bad.json",
             {"px": [0, 1], "py": [1, 2], "qx": [0, 1], "qy": [1, 2], "sigma": 0.5,
-             "sigmaOverrides": {"edge": "x"}},
+             "sigmaOverrides": {"cluster": "x"}},
         )
         code, _, err = run(capsys, ["agcd", str(path)])
         assert code == 2
         assert err.strip().splitlines() == [
-            "error: sigmaOverrides.edge must be a number >= 0, got 'x'"
+            "error: sigmaOverrides.cluster must be a number >= 0, got 'x'"
         ]
 
     def test_negative_sigma_flag(self, capsys, problem_file):
@@ -323,8 +337,6 @@ class TestExitCodes:
         "cluster_sigma": ["cluster", "POINTS", "--sigma", "inf"],
         "agcd_sigma": ["agcd", "PROBLEM", "--sigma", "inf"],
         "sigma_cluster": ["agcd", "PROBLEM", "--sigma-cluster", "inf"],
-        "sigma_edge": ["agcd", "PROBLEM", "--sigma-edge", "Infinity"],
-        "sigma_cert": ["agcd", "PROBLEM", "--sigma-cert", "inf"],
     }
 
     @pytest.mark.parametrize("argv", INFINITE_FLAGS.values(), ids=INFINITE_FLAGS.keys())
@@ -347,6 +359,11 @@ class TestExitCodes:
         "huge_integer_node": {"px": [0, 1, 10**400]},
         "bool_max_multiplicity": {"maxMultiplicity": True},
         "unknown_sigma_override": {"sigmaOverrides": {"edg": -5}},
+        "edge_sigma_override": {"sigmaOverrides": {"edge": 0.1}},
+        "cert_sigma_override": {"sigmaOverrides": {"cert": 0.1}},
+        "false_sigma_overrides": {"sigmaOverrides": False},
+        "zero_sigma_overrides": {"sigmaOverrides": 0},
+        "empty_array_sigma_overrides": {"sigmaOverrides": []},
     }
 
     @pytest.mark.parametrize("change", FILE_PROBES.values(), ids=FILE_PROBES.keys())
@@ -361,6 +378,8 @@ class TestExitCodes:
         "agcd_fixpoint": ["agcd", "PROBLEM", "--fixpoint"],
         "cluster_fixpoint": ["cluster", "POINTS", "--sigma", "1", "--fixpoint"],
         "cluster_fuzz": ["cluster", "POINTS", "--sigma", "1", "--fuzz", "1"],
+        "agcd_sigma_edge": ["agcd", "PROBLEM", "--sigma-edge", "0.1"],
+        "agcd_sigma_cert": ["agcd", "PROBLEM", "--sigma-cert", "0.1"],
     }
 
     @pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
@@ -372,7 +391,8 @@ class TestExitCodes:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        flag = next(a for a in argv if a in ("--fixpoint", "--fuzz"))
+        removed = ("--fixpoint", "--fuzz", "--sigma-edge", "--sigma-cert")
+        flag = next(a for a in argv if a in removed)
         assert "error: unrecognized arguments: " + flag in captured.err
 
 

@@ -66,7 +66,7 @@ OPTION_ERRORS = {
         [0.0], RootList([(0.0, 1)]), -1.0
     ),
     "agcd_sigma_cert_nan": lambda: approximate_gcd(
-        _poly(), _poly(), ClusterParams(sigma=0.1), sigma_cert=NAN
+        _poly(), _poly(), ClusterParams(sigma=0.1), sigma=NAN
     ),
     "agcd_matcher": lambda: approximate_gcd(
         _poly(), _poly(), ClusterParams(sigma=0.1), matcher="bogus"
@@ -96,6 +96,14 @@ OPTION_ERRORS = {
     "rootlist_mult_float": lambda: RootList([(0.0, 1.5)]),
     "rootlist_mult_str": lambda: RootList([(0.0, "2")]),
     "rootlist_mult_nan": lambda: RootList([(0.0, NAN)]),
+    "rootlist_root_str": lambda: RootList([("1", 1)]),
+    "rootlist_root_complex_str": lambda: RootList([("2+3j", 1)]),
+    "rootlist_root_word": lambda: RootList([("x", 1)]),
+    "rootlist_root_bytes": lambda: RootList([(b"1", 1)]),
+    "rootlist_root_none": lambda: RootList([(None, 1)]),
+    "poly_nan_node": lambda: LagrangePoly([0.0, NAN, 2.0], [1.0, 2.0, 3.0]),
+    "poly_inf_node": lambda: LagrangePoly([0.0, INF, 2.0], [1.0, 2.0, 3.0]),
+    "weights_complex_nan_node": lambda: barycentric_weights([0.0, complex(1.0, NAN)]),
     # the merged centroid (1e308 + 1.5e308) / 2 overflows to inf
     "dnc_centroid_overflow": lambda: cluster_dnc(
         RootList([(1e308, 1), (1.5e308, 1)]), 1e308

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from laggcd import (
+    DegenerateInputError,
     DuplicateNodesError,
     InsufficientNodesError,
     LagrangePoly,
@@ -68,6 +69,26 @@ class TestBarycentricWeights:
     def test_near_duplicate_warns(self):
         with pytest.warns(NearDuplicateNodesWarning):
             barycentric_weights([0.0, 1e-10, 1.0])
+
+    OVERFLOWING_NODES = {
+        "chebyshev_1025": np.cos(np.pi * np.arange(1025) / 1024),
+        "wide_150": np.linspace(0.0, 1000.0, 150),
+        "narrow_120": np.linspace(0.0, 1e-3, 120),
+    }
+
+    @pytest.mark.parametrize(
+        "nodes", OVERFLOWING_NODES.values(), ids=OVERFLOWING_NODES.keys()
+    )
+    def test_unrepresentable_weights_raise(self, nodes):
+        # the suite turns RuntimeWarnings into errors, so the product must
+        # overflow silently and the check after it must speak
+        with pytest.raises(DegenerateInputError, match="barycentric weights"):
+            LagrangePoly(nodes, np.ones(len(nodes)))
+
+    def test_800_chebyshev_nodes_still_build(self):
+        nodes = np.cos(np.pi * np.arange(800) / 799)
+        w = LagrangePoly(nodes, np.ones(800)).weights
+        assert np.isfinite(w).all() and np.all(w != 0)
 
     def test_weight_consistency_random(self, rng):
         for _ in range(20):

@@ -35,7 +35,7 @@ def index_graph(nl, nr, weighted_edges):
     edges = tuple(
         Edge(i, j, w, float(d)) for i, j, w, d in weighted_edges
     )
-    return MatchGraph(left=left, right=right, sigma=0.0, edges=edges)
+    return MatchGraph(left=left, right=right, edges=edges)
 
 
 class TestBuildGraph:
@@ -141,8 +141,8 @@ class TestExact:
     def test_size_guard(self):
         left = RootList((k, 1) for k in range(200))
         right = RootList((k, 1) for k in range(200))
-        g = MatchGraph(left=left, right=right, sigma=0.0, edges=())
-        g = MatchGraph(left=left, right=right, sigma=0.0, edges=(Edge(0, 0, 1, 0.0),))
+        g = MatchGraph(left=left, right=right, edges=())
+        g = MatchGraph(left=left, right=right, edges=(Edge(0, 0, 1, 0.0),))
         with pytest.raises(SizeGuardError):
             exact_mwm(g)
 
