@@ -34,8 +34,9 @@ def barycentric_weights(nodes) -> np.ndarray:
     A single node yields [1]. The node differences are formed once, both
     to check the gaps and to take the products: coincident nodes raise
     DuplicateNodesError, dangerously small gaps warn. A NaN or infinite
-    node raises InvalidParameterError; a weight whose product overflows or
-    underflows (infinite, NaN or exactly 0) raises DegenerateInputError.
+    node raises InvalidParameterError; a node difference that overflows, or
+    a weight whose product overflows or underflows (infinite, NaN or
+    exactly 0), raises DegenerateInputError.
     """
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
@@ -45,9 +46,14 @@ def barycentric_weights(nodes) -> np.ndarray:
         raise InvalidParameterError("nodes must be finite, got %s" % x[~finite][0])
     if len(x) == 1:
         return np.ones(1, dtype=complex)
-    diff = x[:, None] - x[None, :]
-    gaps = np.abs(diff)
+    with np.errstate(all="ignore"):  # overflow and underflow are checked below
+        diff = x[:, None] - x[None, :]
+        gaps = np.abs(diff)
+        np.fill_diagonal(diff, 1.0)
+        weights = 1.0 / diff.prod(axis=1)
     spread = gaps.max()
+    if spread == np.inf:
+        raise DegenerateInputError("node differences overflow (spread inf)")
     np.fill_diagonal(gaps, spread)  # so that the minimum is over pairs only
     smallest = gaps.min()
     if spread == 0.0 or smallest <= DUPLICATE_GAP_RTOL * spread:
@@ -63,9 +69,6 @@ def barycentric_weights(nodes) -> np.ndarray:
             NearDuplicateNodesWarning,
             stacklevel=3,
         )
-    np.fill_diagonal(diff, 1.0)
-    with np.errstate(all="ignore"):
-        weights = 1.0 / diff.prod(axis=1)
     bad = np.count_nonzero(~np.isfinite(weights) | (weights == 0))
     if bad:
         raise DegenerateInputError(
@@ -80,7 +83,7 @@ class LagrangePoly:
 
     The nominal degree is len(nodes) - 1. Instances are immutable; the
     barycentric weights are computed on construction, which also checks
-    the nodes.
+    the nodes. A NaN or infinite value raises InvalidParameterError.
     """
 
     def __init__(self, nodes, values):
@@ -90,6 +93,11 @@ class LagrangePoly:
             raise InvalidParameterError("nodes and values must be 1-d sequences")
         if len(nodes) != len(values) or len(nodes) == 0:
             raise InvalidParameterError("need len(nodes) == len(values) >= 1")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvalidParameterError(
+                "values must be finite, got %s" % values[~finite][0]
+            )
         weights = barycentric_weights(nodes)
         for arr in (nodes, values, weights):
             arr.flags.writeable = False

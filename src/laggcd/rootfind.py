@@ -4,15 +4,17 @@ The degree-n polynomial sampled at n+1 nodes is embedded in an
 (n+2) x (n+2) pencil (C0, C1) whose finite generalized eigenvalues are the
 polynomial's roots; det(z*C1 - C0) equals the interpolant at z. The pencil
 carries two eigenvalues at infinity which are filtered after the solve.
+The solver works on a copy whose row 0 and column 0 are scaled to a
+largest modulus of 1, in real arithmetic when the data are real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DegenerateInputError,
@@ -72,6 +74,32 @@ def pencil_determinant(pencil: CompanionPencil, z: complex) -> complex:
     return complex(np.linalg.det(z * pencil.c1 - pencil.c0))
 
 
+def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
+    """Homogeneous eigenvalues (alpha, beta) of p's pencil, by one LAPACK
+    ?ggev call without eigenvectors.
+
+    Row 0 is divided by max|f| and column 0 by max|w|, which scales the
+    determinant by a constant only; a power-of-two factor on the values
+    then leaves the solve bit-identical. A pencil without imaginary part
+    is solved in real arithmetic.
+    """
+    pencil = build_pencil(p)
+    c0, c1 = pencil.c0, pencil.c1
+    c0[0] /= np.abs(p.values).max()
+    c0[:, 0] /= np.abs(p.weights).max()
+    if not c0.imag.any():
+        c0, c1 = c0.real, c1.real
+    ggev, = get_lapack_funcs(("ggev",), (c0, c1))
+    # dggev returns alpha as two arrays (alphar, alphai), zggev as one
+    *alpha, beta, _, _, _, info = ggev(c0, c1, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise EigensolveFailureError("eigensolve failed: ?ggev info %d" % info)
+    alpha = alpha[0] + 1j * alpha[1] if len(alpha) == 2 else alpha[0]
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        raise EigensolveFailureError("eigensolver returned non-finite data")
+    return alpha, beta
+
+
 def roots(p: LagrangePoly) -> RootfindReport:
     """All finite roots of the sampled polynomial, with residuals.
 
@@ -85,17 +113,7 @@ def roots(p: LagrangePoly) -> RootfindReport:
         raise DegenerateInputError(
             "all sampled values are zero; the polynomial is identically zero"
         )
-    pencil = build_pencil(p)
-    try:
-        w = scipy.linalg.eig(
-            pencil.c0, pencil.c1, right=False, homogeneous_eigvals=True
-        )
-    except ValueError as exc:  # QZ did not converge (LinAlgError), or inf/nan data
-        raise EigensolveFailureError("eigensolve failed: %s" % exc) from exc
-    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-        raise EigensolveFailureError("eigensolver returned non-finite data")
-
+    alpha, beta = _eigenvalues(p)
     beta_scale = max(1.0, float(np.abs(beta).max()))
     center = p.nodes.mean()
     spread = float(np.abs(p.nodes[:, None] - p.nodes[None, :]).max())
@@ -110,7 +128,7 @@ def roots(p: LagrangePoly) -> RootfindReport:
     lam = alpha[big] / beta[big]
     lam = lam[np.abs(lam - center) <= FAR_ROOT_FACTOR * spread]
     found = lam[np.lexsort((lam.imag, lam.real))]
-    discarded = pencil.dim - len(found)
+    discarded = p.degree + 2 - len(found)
     note = None
     if len(found) < p.degree:
         note = (

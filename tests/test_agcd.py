@@ -268,3 +268,18 @@ def test_swapping_p_and_q_swaps_the_result(pair):
     assert (qp.cofactor_p, qp.cofactor_q) == (pq.cofactor_q, pq.cofactor_p)
     assert (qp.dist_p, qp.dist_q) == (pq.dist_q, pq.dist_p)
     assert (qp.cert_p, qp.cert_q) == (pq.cert_q, pq.cert_p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planted_pairs())
+def test_power_of_two_scaling_of_p_keeps_the_result(pair):
+    p, q = pair
+    base = approximate_gcd(p, q, ClusterParams(sigma=SWAP_SIGMA))
+    for k in (-30, -20, -10, -4, 4, 10, 20, 30):
+        scaled = LagrangePoly(p.nodes, p.values * 2.0**k)
+        res = approximate_gcd(scaled, q, ClusterParams(sigma=SWAP_SIGMA))
+        assert res.gcd_roots == base.gcd_roots
+        assert (res.cofactor_p, res.cofactor_q) == (base.cofactor_p, base.cofactor_q)
+        assert (res.dist_p, res.dist_q) == (base.dist_p, base.dist_q)
+        assert (res.cert_p, res.cert_q) == (base.cert_p, base.cert_q)
+        assert res.warnings == base.warnings

@@ -103,6 +103,8 @@ OPTION_ERRORS = {
     "rootlist_root_none": lambda: RootList([(None, 1)]),
     "poly_nan_node": lambda: LagrangePoly([0.0, NAN, 2.0], [1.0, 2.0, 3.0]),
     "poly_inf_node": lambda: LagrangePoly([0.0, INF, 2.0], [1.0, 2.0, 3.0]),
+    "poly_inf_value": lambda: LagrangePoly([0.0, 1.0, 2.0], [1.0, INF, 3.0]),
+    "poly_complex_nan_value": lambda: LagrangePoly([0.0, 1.0], [1.0, complex(0, NAN)]),
     "weights_complex_nan_node": lambda: barycentric_weights([0.0, complex(1.0, NAN)]),
     # the merged centroid (1e308 + 1.5e308) / 2 overflows to inf
     "dnc_centroid_overflow": lambda: cluster_dnc(
@@ -132,10 +134,19 @@ def test_exit_code_table():
         assert cls.exit_code == (3 if cls in numeric else 2), cls.__name__
 
 
-def test_roots_of_nan_values_is_numerical_failure():
-    with pytest.raises(EigensolveFailureError) as exc:
+def test_roots_of_nan_values_is_input_error():
+    # the values are checked where the polynomial is built, so the
+    # eigensolver never sees them
+    with pytest.raises(InvalidParameterError) as exc:
         roots(LagrangePoly([0.0, 1.0, 2.0], [1.0, NAN, 5.0]))
-    assert not isinstance(exc.value, ValueError)
+    assert exc.value.exit_code == 2
+
+
+def test_overflowing_node_differences_are_degenerate():
+    # finite nodes whose difference 2e308 overflows; the suite turns the
+    # RuntimeWarning of an unguarded subtraction into an error
+    with pytest.raises(DegenerateInputError) as exc:
+        LagrangePoly([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0])
     assert exc.value.exit_code == 3
 
 

@@ -1,5 +1,6 @@
 """Companion pencil construction and eigenvalue-based rootfinding."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +13,7 @@ from laggcd import (
     pencil_determinant,
     roots,
 )
-from laggcd.rootfind import FAR_ROOT_FACTOR, SPURIOUS_BETA_RTOL
+from laggcd.rootfind import FAR_ROOT_FACTOR, SPURIOUS_BETA_RTOL, _eigenvalues
 from conftest import random_distinct_nodes
 
 
@@ -122,13 +123,11 @@ class TestRoots:
         assert list(r1.real) == sorted(r1.real)
 
 
-def oracle_kept_eigenvalues(p):
-    """The eigenvalue filter of `roots` as a per-eigenvalue loop: skip the
+def oracle_kept_eigenvalues(p, eigenvalues=_eigenvalues):
+    """The eigenvalue filter of `roots` as a per-eigenvalue loop over
+    eigenvalues(p), by default the (alpha, beta) `roots` filters: skip the
     two smallest |beta|, then tiny beta, then the far field."""
-    pencil = build_pencil(p)
-    alpha, beta = scipy.linalg.eig(
-        pencil.c0, pencil.c1, right=False, homogeneous_eigvals=True
-    )
+    alpha, beta = eigenvalues(p)
     beta_scale = max(1.0, float(np.abs(beta).max()))
     center = p.nodes.mean()
     spread = max(float(np.abs(p.nodes[:, None] - p.nodes[None, :]).max()), 1.0)
@@ -147,11 +146,13 @@ def oracle_kept_eigenvalues(p):
 FILTER_KINDS = ["real", "complex", "low_degree", "wide"]
 
 
-@pytest.mark.parametrize("kind", FILTER_KINDS)
-def test_eigenvalue_filter_matches_loop(kind):
+def filter_cases(kind, max_degree=40):
+    """40 seeded polynomials of degree 1 to max_degree - 1 at Chebyshev
+    points: random real or complex values, lower-degree data, or nodes
+    spread over [-1000, 1000]."""
     rng = np.random.default_rng(FILTER_KINDS.index(kind))
     for _ in range(40):
-        n = int(rng.integers(1, 40))
+        n = int(rng.integers(1, max_degree))
         nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
         values = rng.standard_normal(n + 1)
         if kind == "complex":
@@ -161,8 +162,91 @@ def test_eigenvalue_filter_matches_loop(kind):
             values = np.prod(nodes[:, None] - planted[None, :], axis=1)
         elif kind == "wide":
             nodes = 1000 * nodes
-        p = LagrangePoly(nodes, values)
+        yield LagrangePoly(nodes, values)
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_eigenvalue_filter_matches_loop(kind):
+    for p in filter_cases(kind):
         report = roots(p)
         want = oracle_kept_eigenvalues(p)
         assert report.roots.tobytes() == want.tobytes()
         assert report.discarded_count == build_pencil(p).dim - len(want)
+
+
+def raw_pencil_eigenvalues(p):
+    """(alpha, beta) from a complex QZ of the unscaled pencil."""
+    pencil = build_pencil(p)
+    return scipy.linalg.eig(
+        pencil.c0, pencil.c1, right=False, homogeneous_eigvals=True
+    )
+
+
+# Below degree 20 the raw pencil's weights stay under 2^20 and its roots
+# agree with the scaled solve to 3.5e-11 (real) and 2.2e-12 (complex). From
+# degree 30 they drift apart by up to 2e-5: the raw pencil is then the
+# inaccurate one (on a degree-39 complex case the scaled roots are within
+# 3e-15 of a 60-digit solve, the raw ones 6e-6 off), which
+# test_chebyshev_roots_match_mpmath covers.
+RAW_PENCIL_RTOL = 1e-8
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_roots_match_raw_pencil_qz(kind):
+    for p in filter_cases(kind, max_degree=20):
+        got = roots(p).roots
+        raw = oracle_kept_eigenvalues(p, raw_pencil_eigenvalues)
+        assert len(raw) == len(got) == p.degree
+        for r in raw:
+            assert np.min(np.abs(got - r)) <= RAW_PENCIL_RTOL * max(1.0, abs(r))
+
+
+def test_power_of_two_scaling_gives_identical_roots(ref_p):
+    complex_p = LagrangePoly(ref_p.nodes, ref_p.values * (1 + 0.5j) - 3j)
+    for p in (ref_p, complex_p):
+        base = roots(p).roots
+        for k in (-30, -20, -10, -4, 4, 10, 20, 30):
+            scaled = roots(LagrangePoly(p.nodes, p.values * 2.0**k)).roots
+            assert scaled.tobytes() == base.tobytes()
+
+
+def monomial_coefficients(nodes, values):
+    """Monomial coefficients, highest first, of the interpolant of the float
+    data, by Newton divided differences in the current mpmath precision."""
+    x = [mpmath.mpf(float(v)) for v in nodes]
+    c = [mpmath.mpf(float(v)) for v in values]
+    n = len(x)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (x[i] - x[i - j])
+    poly = [c[-1]]
+    for i in range(n - 2, -1, -1):  # poly * (X - x[i]) + c[i]
+        poly = [a - x[i] * b for a, b in zip(poly + [0], [0] + poly)]
+        poly[-1] += c[i]
+    return poly
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_chebyshev_roots_match_mpmath(n):
+    # roots at the n interior second-kind Chebyshev points cos(k pi/(n+1)),
+    # samples at the n+1 first-kind Chebyshev points: well conditioned at
+    # every degree in node/value form
+    planted = np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+    values = np.prod(nodes[:, None] - planted[None, :], axis=1)
+    got = roots(LagrangePoly(nodes, values)).roots
+    assert len(got) == n
+    # The oracle solves the same float data in 50 digits. Expanding to
+    # monomials loses about 0.4n digits on these roots, so the expansion
+    # carries n/2 guard digits and Durand-Kerner twice the precision.
+    with mpmath.workdps(50 + n // 2):
+        coeffs = monomial_coefficients(nodes, values)
+        dps = mpmath.mp.dps
+        want = mpmath.polyroots(
+            coeffs,
+            maxsteps=100,
+            extraprec=int(3.4 * dps),
+            roots_init=[mpmath.mpf(float(r)) for r in planted],
+        )
+    want = np.array([complex(r) for r in want])
+    assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) <= 1e-12
