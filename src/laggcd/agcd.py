@@ -10,6 +10,7 @@ or node/value form; results are monic by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,14 +30,19 @@ NODE_DEDUP_RTOL = 1e-7
 
 @dataclass
 class AgcdResult:
+    """What approximate_gcd found, in root form, with its certificates.
+
+    The output polynomials gcd_poly, p_tilde_poly and q_tilde_poly and the
+    cofactors cofactor_p and cofactor_q are computed on first read from
+    the inputs p, q and the graph and matching, then cached. An error from
+    building one (such as values that overflow) is raised at that read,
+    and reading p_tilde_poly or q_tilde_poly resamples on P's or Q's
+    nodes, so it can emit a NearDuplicateNodesWarning.
+    """
+
     gcd_roots: RootList
-    gcd_poly: LagrangePoly
     p_tilde_roots: RootList
-    p_tilde_poly: LagrangePoly
     q_tilde_roots: RootList
-    q_tilde_poly: LagrangePoly
-    cofactor_p: RootList
-    cofactor_q: RootList
     graph: MatchGraph
     matching: Matching
     dist_p: float
@@ -45,11 +51,35 @@ class AgcdResult:
     cert_q: bool
     p_report: RootfindReport
     q_report: RootfindReport
+    p: LagrangePoly
+    q: LagrangePoly
     warnings: List[str] = field(default_factory=list)
 
     @property
     def gcd_degree(self) -> int:
         return self.gcd_roots.total_multiplicity()
+
+    @cached_property
+    def gcd_poly(self) -> LagrangePoly:
+        gcd = self.gcd_roots
+        return from_roots(gcd, _gcd_sample_nodes(gcd, self.p, self.q))
+
+    @cached_property
+    def p_tilde_poly(self) -> LagrangePoly:
+        return from_roots(self.p_tilde_roots, self.p.nodes)
+
+    @cached_property
+    def q_tilde_poly(self) -> LagrangePoly:
+        return from_roots(self.q_tilde_roots, self.q.nodes)
+
+    # the cofactors are the leftovers alone: reconstruct without the GCD
+    @cached_property
+    def cofactor_p(self) -> RootList:
+        return reconstruct(self.graph.left, self.matching, "left", RootList())
+
+    @cached_property
+    def cofactor_q(self) -> RootList:
+        return reconstruct(self.graph.right, self.matching, "right", RootList())
 
 
 def assemble_gcd(m: Matching, g: MatchGraph) -> RootList:
@@ -156,7 +186,8 @@ def approximate_gcd(
     roots are the graph's left (P) and right (Q) sides. Diagnostics go
     only to AgcdResult.warnings: each failed certify_distance with its
     distance, then each side's rootfinding note. A side whose rootfinding
-    keeps no root raises DegenerateInputError.
+    keeps no root raises DegenerateInputError. No output polynomial is
+    built here; see AgcdResult for the fields computed on first read.
     """
     for poly, name in ((p, "P"), (q, "Q")):
         if np.max(np.abs(poly.values)) == 0.0:
@@ -187,9 +218,6 @@ def approximate_gcd(
     assert gcd.total_multiplicity() == match.total_weight
     assert p_tilde.total_multiplicity() == len(p_report.roots)
     assert q_tilde.total_multiplicity() == len(q_report.roots)
-    # the cofactors are the leftovers alone: reconstruct without the GCD
-    cofactor_p = reconstruct(p_clustered, match, "left", RootList())
-    cofactor_q = reconstruct(q_clustered, match, "right", RootList())
 
     dist_p, cert_p = certify_distance(p_report.roots, p_tilde, sigma, rho=rho)
     dist_q, cert_q = certify_distance(q_report.roots, q_tilde, sigma, rho=rho)
@@ -202,19 +230,10 @@ def approximate_gcd(
         if rep.backward_note:
             warns.append("%s rootfinding: %s" % (name, rep.backward_note))
 
-    gcd_poly = from_roots(gcd, _gcd_sample_nodes(gcd, p, q))
-    p_tilde_poly = from_roots(p_tilde, p.nodes)
-    q_tilde_poly = from_roots(q_tilde, q.nodes)
-
     return AgcdResult(
         gcd_roots=gcd,
-        gcd_poly=gcd_poly,
         p_tilde_roots=p_tilde,
-        p_tilde_poly=p_tilde_poly,
         q_tilde_roots=q_tilde,
-        q_tilde_poly=q_tilde_poly,
-        cofactor_p=cofactor_p,
-        cofactor_q=cofactor_q,
         graph=graph,
         matching=match,
         dist_p=dist_p,
@@ -223,5 +242,7 @@ def approximate_gcd(
         cert_q=cert_q,
         p_report=p_report,
         q_report=q_report,
+        p=p,
+        q=q,
         warnings=warns,
     )

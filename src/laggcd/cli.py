@@ -174,15 +174,6 @@ def cmd_agcd(args) -> int:
     rho = args.rho or pf.rho or "sum"
     notes = []
     p, q = _sampled("P", pf.px, pf.py, notes), _sampled("Q", pf.qx, pf.qy, notes)
-    with warnings.catch_warnings():
-        # the outputs are resampled on P's and Q's nodes, which warned above
-        warnings.simplefilter("ignore", NearDuplicateNodesWarning)
-        result = approximate_gcd(
-            p, q, params, matcher=args.matcher, rho=rho, sigma=sigma
-        )
-    if args.graph_csv:
-        with open(args.graph_csv, "w") as fh:
-            fh.write(_graph_csv(result))
     settings = {
         "sigma": sigma,
         "sigmas": {"cluster": params.sigma, "edge": sigma, "cert": sigma},
@@ -190,7 +181,18 @@ def cmd_agcd(args) -> int:
         "matcher": args.matcher,
         "strategy": params.strategy.value,
     }
-    _emit(json.dumps(_agcd_json(result, settings, notes), indent=2), args.output)
+    with warnings.catch_warnings():
+        # reading the output polynomials resamples them on P's and Q's
+        # nodes, which warned above
+        warnings.simplefilter("ignore", NearDuplicateNodesWarning)
+        result = approximate_gcd(
+            p, q, params, matcher=args.matcher, rho=rho, sigma=sigma
+        )
+        if args.graph_csv:
+            with open(args.graph_csv, "w") as fh:
+                fh.write(_graph_csv(result))
+        payload = _agcd_json(result, settings, notes)
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 

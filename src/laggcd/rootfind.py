@@ -11,6 +11,7 @@ largest modulus of 1, in real arithmetic when the data are real.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -46,10 +47,19 @@ class CompanionPencil:
 
 @dataclass
 class RootfindReport:
+    """The finite roots of poly, sorted by (real, imaginary) part.
+
+    residuals, |poly| at each root, is computed on first read and cached.
+    """
+
     roots: np.ndarray
     discarded_count: int
-    residuals: np.ndarray
+    poly: LagrangePoly
     backward_note: Optional[str] = None
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return np.abs(evaluate(self.poly, self.roots))
 
 
 def build_pencil(p: LagrangePoly) -> CompanionPencil:
@@ -101,7 +111,8 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def roots(p: LagrangePoly) -> RootfindReport:
-    """All finite roots of the sampled polynomial, with residuals.
+    """All finite roots of the sampled polynomial; their residuals are
+    computed when first read.
 
     Returns exactly n roots for full-degree data. If the data's actual
     degree is lower, far-field eigenvalues are discarded as well and a
@@ -135,10 +146,9 @@ def roots(p: LagrangePoly) -> RootfindReport:
             "sampled data appears to have degree %d < nominal %d; "
             "%d eigenvalues discarded" % (len(found), p.degree, discarded)
         )
-    residuals = np.abs(evaluate(p, found)) if len(found) else np.empty(0)
     return RootfindReport(
         roots=found,
         discarded_count=discarded,
-        residuals=residuals,
+        poly=p,
         backward_note=note,
     )

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from laggcd import agcd as agcd_module
+from laggcd import rootfind as rootfind_module
 from laggcd import (
     ClusterParams,
     DegenerateInputError,
     LagrangePoly,
+    NearDuplicateNodesWarning,
     RootList,
     ZeroPolynomialError,
     approximate_gcd,
@@ -283,3 +286,98 @@ def test_power_of_two_scaling_of_p_keeps_the_result(pair):
         assert (res.dist_p, res.dist_q) == (base.dist_p, base.dist_q)
         assert (res.cert_p, res.cert_q) == (base.cert_p, base.cert_q)
         assert res.warnings == base.warnings
+
+
+# The output polynomials, the cofactors and the root residuals are built on
+# first read, once; approximate_gcd itself builds none of them.
+LAZY_POLYS = ("gcd_poly", "p_tilde_poly", "q_tilde_poly")
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls in a list."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_outputs_are_computed_on_first_read_only(monkeypatch, ref_p, ref_q):
+    from_roots_calls = counted(monkeypatch, agcd_module, "from_roots")
+    reconstruct_calls = counted(monkeypatch, agcd_module, "reconstruct")
+    evaluate_calls = counted(monkeypatch, rootfind_module, "evaluate")
+    res = approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5))
+    assert (len(from_roots_calls), len(evaluate_calls)) == (0, 0)
+    assert len(reconstruct_calls) == 2  # p_tilde and q_tilde only
+    for name, calls in [(n, from_roots_calls) for n in LAZY_POLYS] + [
+        ("cofactor_p", reconstruct_calls),
+        ("cofactor_q", reconstruct_calls),
+    ]:
+        before = len(calls)
+        first = getattr(res, name)
+        assert len(calls) == before + 1, name
+        assert getattr(res, name) is first
+        assert len(calls) == before + 1, name
+    for report in (res.p_report, res.q_report):
+        before = len(evaluate_calls)
+        first = report.residuals
+        assert len(evaluate_calls) == before + 1
+        assert report.residuals is first
+        assert len(evaluate_calls) == before + 1
+    assert len(from_roots_calls) == len(LAZY_POLYS)
+
+
+def test_near_duplicate_nodes_warn_only_when_read():
+    x = np.array([0.0, 1.0, 2.0, 2.0 + 1e-9])
+    with pytest.warns(NearDuplicateNodesWarning):
+        p = LagrangePoly(x, (x - 1) * (x - 3) * (x + 1))
+    q = from_roots(RootList([(1.0, 1), (4.0, 1)]), np.array([-1.0, 2.5, 6.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = approximate_gcd(p, q, ClusterParams(sigma=1e-3))
+        res.gcd_poly, res.q_tilde_poly, res.cofactor_p, res.cofactor_q
+    with pytest.warns(NearDuplicateNodesWarning):
+        res.p_tilde_poly
+
+
+def assert_same_rootlist(got, want):
+    assert got.expand().tobytes() == want.expand().tobytes()
+    assert [m for _, m in got] == [m for _, m in want]
+
+
+def assert_lazy_outputs_are_eager(res, p, q):
+    gcd_nodes = agcd_module._gcd_sample_nodes(res.gcd_roots, p, q)
+    for got, roots_, nodes in (
+        (res.gcd_poly, res.gcd_roots, gcd_nodes),
+        (res.p_tilde_poly, res.p_tilde_roots, p.nodes),
+        (res.q_tilde_poly, res.q_tilde_roots, q.nodes),
+    ):
+        want = from_roots(roots_, nodes)
+        assert got.nodes.tobytes() == want.nodes.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    for report, poly in ((res.p_report, p), (res.q_report, q)):
+        want = np.abs(evaluate(poly, report.roots))
+        assert report.residuals.tobytes() == want.tobytes()
+    left, right = res.graph.left, res.graph.right
+    assert_same_rootlist(
+        res.cofactor_p, reconstruct(left, res.matching, "left", RootList())
+    )
+    assert_same_rootlist(
+        res.cofactor_q, reconstruct(right, res.matching, "right", RootList())
+    )
+
+
+def test_lazy_outputs_match_eager_recomputation_on_reference(ref_p, ref_q):
+    res = approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5))
+    assert_lazy_outputs_are_eager(res, ref_p, ref_q)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(planted_pairs())
+def test_lazy_outputs_match_eager_recomputation(pair):
+    p, q = pair
+    res = approximate_gcd(p, q, ClusterParams(sigma=SWAP_SIGMA))
+    assert_lazy_outputs_are_eager(res, p, q)
