@@ -16,7 +16,6 @@ from .agcd import (
 )
 from .cluster import (
     ClusterParams,
-    ClusterStats,
     Strategy,
     cluster,
     cluster_dnc,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgcdResult",
     "ClusterParams",
-    "ClusterStats",
     "CompanionPencil",
     "DegenerateInputError",
     "DuplicateNodesError",

@@ -32,9 +32,10 @@ NODE_DEDUP_RTOL = 1e-7
 class AgcdResult:
     """What approximate_gcd found, in root form, with its certificates.
 
+    The inputs are the reports' polys, p_report.poly and q_report.poly.
     The output polynomials gcd_poly, p_tilde_poly and q_tilde_poly and the
     cofactors cofactor_p and cofactor_q are computed on first read from
-    the inputs p, q and the graph and matching, then cached. An error from
+    those inputs and the graph and matching, then cached. An error from
     building one (such as values that overflow) is raised at that read,
     and reading p_tilde_poly or q_tilde_poly resamples on P's or Q's
     nodes, so it can emit a NearDuplicateNodesWarning.
@@ -51,8 +52,6 @@ class AgcdResult:
     cert_q: bool
     p_report: RootfindReport
     q_report: RootfindReport
-    p: LagrangePoly
-    q: LagrangePoly
     warnings: List[str] = field(default_factory=list)
 
     @property
@@ -61,16 +60,16 @@ class AgcdResult:
 
     @cached_property
     def gcd_poly(self) -> LagrangePoly:
-        gcd = self.gcd_roots
-        return from_roots(gcd, _gcd_sample_nodes(gcd, self.p, self.q))
+        gcd, p, q = self.gcd_roots, self.p_report.poly, self.q_report.poly
+        return from_roots(gcd, _gcd_sample_nodes(gcd, p, q))
 
     @cached_property
     def p_tilde_poly(self) -> LagrangePoly:
-        return from_roots(self.p_tilde_roots, self.p.nodes)
+        return from_roots(self.p_tilde_roots, self.p_report.poly.nodes)
 
     @cached_property
     def q_tilde_poly(self) -> LagrangePoly:
-        return from_roots(self.q_tilde_roots, self.q.nodes)
+        return from_roots(self.q_tilde_roots, self.q_report.poly.nodes)
 
     # the cofactors are the leftovers alone: reconstruct without the GCD
     @cached_property
@@ -242,7 +241,5 @@ def approximate_gcd(
         cert_q=cert_q,
         p_report=p_report,
         q_report=q_report,
-        p=p,
-        q=q,
         warnings=warns,
     )

@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success (including certificate warnings); on a LagGcdError,
 one `error:` line and the error's `exit_code`: 3 for numerical failures,
-2 for bad input or options (as for the arguments argparse rejects).
+2 for bad input or options (as for the arguments argparse rejects) and
+for an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -45,9 +46,14 @@ def _poly_json(p: LagrangePoly):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to the file out, or to stdout (newline-terminated) if
+    out is not given; a file that cannot be written is an input error."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise LagGcdError("cannot write %s: %s" % (out, exc.strerror)) from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -189,8 +195,7 @@ def cmd_agcd(args) -> int:
             p, q, params, matcher=args.matcher, rho=rho, sigma=sigma
         )
         if args.graph_csv:
-            with open(args.graph_csv, "w") as fh:
-                fh.write(_graph_csv(result))
+            _emit(_graph_csv(result), args.graph_csv)
         payload = _agcd_json(result, settings, notes)
     _emit(json.dumps(payload, indent=2), args.output)
     return 0

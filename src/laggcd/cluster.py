@@ -13,10 +13,11 @@ Two interchangeable strategies:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -61,34 +62,32 @@ class ClusterParams:
         # written as `not x >= ...` so that NaN fails too
         if not self.sigma >= 0:
             raise InvalidParameterError("sigma must be >= 0")
-        if not self.max_multiplicity >= 1:
+        try:  # an integer, as RootList reads multiplicities
+            self.max_multiplicity = operator.index(self.max_multiplicity)
+        except TypeError:
+            raise InvalidParameterError(
+                "max_multiplicity must be an integer, got %r" % (self.max_multiplicity,)
+            ) from None
+        if self.max_multiplicity < 1:
             raise InvalidParameterError("max_multiplicity must be >= 1")
-
-
-@dataclass
-class ClusterStats:
-    """Instrumentation for the scaling tests: merge-step pair comparisons."""
-
-    pair_comparisons: int = 0
 
 
 Item = Tuple[complex, int]
 
 
-def _merge_strip(points: List[Item], sigma: float, stats: Optional[ClusterStats]):
+def _merge_strip(points: List[Item], sigma: float) -> List[Item]:
     """Repeatedly merge the closest pair within sigma, weighted-centroid style.
 
-    Merging is pairwise and closest-first; a merged point may merge again
-    in a later round, but no transitive closure beyond that is attempted.
+    The points are taken in (imag, real) order. Merging is pairwise and
+    closest-first; a merged point may merge again in a later round, but no
+    transitive closure beyond that is attempted.
     """
-    pts = list(points)
+    pts = sorted(points, key=lambda t: (t[0].imag, t[0].real))
     while len(pts) >= 2:
         best = None
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d = abs(pts[i][0] - pts[j][0])
-                if stats is not None:
-                    stats.pair_comparisons += 1
                 if d <= sigma and (best is None or d < best[0]):
                     best = (d, i, j)
         if best is None:
@@ -101,23 +100,21 @@ def _merge_strip(points: List[Item], sigma: float, stats: Optional[ClusterStats]
     return pts
 
 
-def _dnc(q: List[Item], lo: int, hi: int, sigma: float, stats) -> List[Item]:
+def _dnc(q: List[Item], lo: int, hi: int, sigma: float) -> List[Item]:
     if hi - lo == 1:
         return [q[lo]]
     # split index per the 1-based floor((l+r)/2) convention
     mid = (lo + 1 + hi) // 2
-    left = _dnc(q, lo, mid, sigma, stats)
-    right = _dnc(q, mid, hi, sigma, stats)
+    both = _dnc(q, lo, mid, sigma) + _dnc(q, mid, hi, sigma)
     mid_x = q[mid - 1][0].real
-    merged = sorted(left + right, key=lambda t: (t[0].imag, t[0].real))
-    strip = [t for t in merged if abs(t[0].real - mid_x) <= sigma]
-    rest = [t for t in merged if abs(t[0].real - mid_x) > sigma]
-    return rest + _merge_strip(strip, sigma, stats)
+    # only the strip's order matters, and a stable sort commutes with
+    # this filter, so the strip alone is sorted (in _merge_strip)
+    strip = [t for t in both if abs(t[0].real - mid_x) <= sigma]
+    rest = [t for t in both if abs(t[0].real - mid_x) > sigma]
+    return rest + _merge_strip(strip, sigma)
 
 
-def cluster_dnc(
-    roots: RootList, sigma: float, stats: Optional[ClusterStats] = None
-) -> RootList:
+def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     """Divide-and-conquer clustering at tolerance sigma, in a single pass.
 
     This is the reference behaviour: a chain like [1, 1.5, 2] at sigma 0.5
@@ -127,7 +124,7 @@ def cluster_dnc(
         raise InvalidParameterError("sigma must be >= 0")
     if not roots:
         return roots
-    return RootList(_dnc(roots.entries, 0, len(roots), sigma, stats))
+    return RootList(_dnc(roots.entries, 0, len(roots), sigma))
 
 
 def _knn_candidates(points, active, m):

@@ -1,6 +1,9 @@
-"""Shared fixtures: the worked reference dataset and seeded RNG."""
+"""Shared fixtures: the worked reference dataset, seeded RNG and a counter
+of the divide-and-conquer clustering's merge comparisons."""
 
+import importlib
 import json
+import math
 import os
 
 # One BLAS thread, set before numpy loads: the timing ratios of the
@@ -11,7 +14,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from laggcd import LagrangePoly
+from laggcd import LagrangePoly, cluster_dnc
+
+# the module, which the package's `cluster` function shadows
+CLUSTER_MODULE = importlib.import_module("laggcd.cluster")
 
 # Reference problem: two polynomials given by values at distinct nodes,
 # sharing (approximately) a quadruple root near 1.6 and a double root
@@ -41,6 +47,32 @@ def default_seed() -> int:
 @pytest.fixture
 def rng():
     return np.random.default_rng(default_seed())
+
+
+@pytest.fixture
+def dnc_comparisons(monkeypatch):
+    """A function that runs cluster_dnc(roots, sigma) and returns the pair
+    comparisons its strip merges made: a strip of k points that merges m
+    times scans all pairs of its k, k - 1, ..., k - m points."""
+    merge = CLUSTER_MODULE._merge_strip
+    count = 0
+
+    def counted(points, sigma):
+        nonlocal count
+        out = merge(points, sigma)
+        k = len(points)
+        count += sum(math.comb(k - j, 2) for j in range(k - len(out) + 1))
+        return out
+
+    monkeypatch.setattr(CLUSTER_MODULE, "_merge_strip", counted)
+
+    def run(roots, sigma):
+        nonlocal count
+        count = 0
+        cluster_dnc(roots, sigma)
+        return count
+
+    return run
 
 
 @pytest.fixture

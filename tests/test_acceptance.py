@@ -17,7 +17,6 @@ import pytest
 
 from laggcd import (
     ClusterParams,
-    ClusterStats,
     LagrangePoly,
     RootList,
     Strategy,
@@ -318,14 +317,12 @@ def test_criterion_09_unit_square_heuristic(capsys, rng):
     assert ok
 
 
-def test_criterion_10_scaling_sanity(capsys, rng):
+def test_criterion_10_scaling_sanity(capsys, rng, dnc_comparisons):
     counts = {}
     for exp in (10, 14):
         n = 2 ** exp
         pts = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 1, n)
-        stats = ClusterStats()
-        cluster_dnc(RootList((p, 1) for p in pts), 1.0 / n, stats=stats)
-        counts[exp] = stats.pair_comparisons
+        counts[exp] = dnc_comparisons(RootList((p, 1) for p in pts), 1.0 / n)
     dnc_ratio = counts[14] / counts[10]
     dnc_ok = dnc_ratio <= 1.3 * (16 * 14 / 10)
 

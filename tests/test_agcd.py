@@ -205,6 +205,23 @@ class TestApproximateGcd:
             want *= (z - r) ** m
         assert evaluate(res.gcd_poly, z) == pytest.approx(want, rel=1e-9)
 
+    def test_result_holds_each_input_once(self, ref_p, ref_q):
+        res = approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5))
+        assert res.p_report.poly is ref_p and res.q_report.poly is ref_q
+        assert not hasattr(res, "p") and not hasattr(res, "q")
+
+    def test_gcd_nodes_span_at_least_one(self):
+        # P's and Q's nodes span [0, 0.3]; the GCD's extra sample node is
+        # a Chebyshev point of the unit interval around their midpoint
+        x = np.linspace(0.0, 0.3, 4)
+        p = from_roots(RootList([(0.1, 2), (0.2, 1)]), x)
+        q = from_roots(RootList([(0.1, 2), (0.25, 1)]), x)
+        res = approximate_gcd(p, q, ClusterParams(sigma=1e-3))
+        assert [m for _, m in res.gcd_roots] == [2]
+        nodes = res.gcd_poly.nodes
+        assert len(nodes) == 3 and nodes[0] == 0.0
+        assert nodes[-1].real == pytest.approx(0.15 + 0.5 * np.cos(np.pi / 16))
+
     def test_certificate_warning_path(self, rng):
         # a cluster sigma above sigma merges P's roots 0 and 0.3 into a
         # double at 0.15, which costs d = 0.15 > sigma = 0.1

@@ -115,6 +115,19 @@ class TestAgcd:
         weights = sorted(int(r[2]) for r in rows[1:])
         assert weights == [2, 4]
 
+    def test_graph_csv_complex_roots(self, capsys, tmp_path):
+        pair = [0.5 + 0.5j, 0.5 - 0.5j]
+        path = simple_problem(tmp_path, pair + [2.0], pair + [-2.0], 1e-3)
+        dest = tmp_path / "graph.csv"
+        code, _, _ = run(capsys, ["agcd", path, "--graph-csv", str(dest)])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(dest.read_text())))[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert row[0].endswith("j") and row[1].endswith("j")
+        left = sorted((complex(r[0]) for r in rows), key=lambda z: z.imag)
+        assert left == pytest.approx(pair[::-1], abs=1e-6)
+
     def test_gcd_samples_roundtrip(self, capsys, tmp_path):
         # the emitted node/value arrays must reproduce the reported roots
         # when fed back through the rootfinder
@@ -303,6 +316,20 @@ class TestExitCodes:
         path = write_json(tmp_path, "pts.json", [[1.0, 0]])
         assert run(capsys, ["cluster", str(path), "--sigma", "1.0"])[0] == 2
 
+    def test_points_entry_not_a_pair(self, capsys, tmp_path):
+        path = write_json(tmp_path, "pts.json", [[1.0, 1], [2.0]])
+        code, out, err = run(capsys, ["cluster", str(path), "--sigma", "1.0"])
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [
+            "error: each point must be a [root, multiplicity] pair, got [2.0]"
+        ]
+
+    def test_problem_file_not_an_object(self, capsys, tmp_path):
+        path = write_json(tmp_path, "list.json", [[0, 1], [1, 2]])
+        code, out, err = run(capsys, ["agcd", str(path)])
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == ["error: problem file must be a JSON object"]
+
     def test_bad_points_shape(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", {"points": []})
         assert run(capsys, ["cluster", str(path), "--sigma", "1.0"])[0] == 2
@@ -364,6 +391,10 @@ class TestExitCodes:
         "false_sigma_overrides": {"sigmaOverrides": False},
         "zero_sigma_overrides": {"sigmaOverrides": 0},
         "empty_array_sigma_overrides": {"sigmaOverrides": []},
+        "non_array_field": {"qy": 5},
+        "unequal_q_lengths": {"qy": [1, 0]},
+        "unknown_strategy": {"strategy": "bogus"},
+        "unknown_rho": {"rho": "median"},
     }
 
     @pytest.mark.parametrize("change", FILE_PROBES.values(), ids=FILE_PROBES.keys())
@@ -394,6 +425,30 @@ class TestExitCodes:
         removed = ("--fixpoint", "--fuzz", "--sigma-edge", "--sigma-cert")
         flag = next(a for a in argv if a in removed)
         assert "error: unrecognized arguments: " + flag in captured.err
+
+
+class TestWriteErrors:
+    WRITES = {
+        "agcd_output": ["agcd", "PROBLEM", "-o", "DEST"],
+        "agcd_graph_csv": ["agcd", "PROBLEM", "--graph-csv", "DEST"],
+        "roots_output": ["roots", "PROBLEM", "-o", "DEST"],
+        "cluster_output": ["cluster", "POINTS", "--sigma", "1", "-o", "DEST"],
+    }
+
+    @pytest.mark.parametrize("dest", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("argv", WRITES.values(), ids=WRITES.keys())
+    def test_unwritable_file_is_input_error(
+        self, capsys, problem_file, tmp_path, argv, dest
+    ):
+        points = write_json(tmp_path, "pts.json", [[0.0, 1], [1e-3, 1]])
+        target = str({"missing_directory": tmp_path / "no" / "out.txt",
+                      "directory": tmp_path}[dest])
+        names = {"POINTS": points, "PROBLEM": problem_file, "DEST": target}
+        code, out, err = run(capsys, [names.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write %s: " % target)
 
 
 class TestInputWarnings:

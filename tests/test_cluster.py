@@ -8,7 +8,6 @@ import pytest
 
 from laggcd import (
     ClusterParams,
-    ClusterStats,
     RootList,
     Strategy,
     cluster,
@@ -76,19 +75,25 @@ class TestDnC:
         b = cluster_dnc(singles(pts), 0.05)
         assert a == b
 
-    def test_comparison_counting(self):
-        stats = ClusterStats()
-        cluster_dnc(singles([1.0, 1.5, 2.0]), 0.5, stats=stats)
-        assert stats.pair_comparisons > 0
+    def test_comparison_counting(self, dnc_comparisons):
+        # the left half's strip scans 1 pair, merges, and stops at one
+        # point; the top strip scans the merged point against 2.0
+        assert dnc_comparisons(singles([1.0, 1.5, 2.0]), 0.5) == 2
 
-    def test_merge_comparisons_scale_quasilinearly(self, rng):
+    def test_comparison_count_matches_instrumented_merge(self, dnc_comparisons):
+        # counts of an instrumented merge loop that incremented once per
+        # pair it compared, on these clouds
+        rng = np.random.default_rng(5)
+        for n, expected in ((64, 558), (256, 2705)):
+            pts = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 1, n)
+            assert dnc_comparisons(singles(pts), 4.0 / n) == expected
+
+    def test_merge_comparisons_scale_quasilinearly(self, rng, dnc_comparisons):
         counts = {}
         for exp in (8, 11, 14):
             n = 2 ** exp
             pts = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 1, n)
-            stats = ClusterStats()
-            cluster_dnc(singles(pts), 1.0 / n, stats=stats)
-            counts[exp] = stats.pair_comparisons
+            counts[exp] = dnc_comparisons(singles(pts), 1.0 / n)
         # n log n growth: factor 8 in n between successive sizes
         assert counts[11] <= 1.5 * 8 * (11 / 8) * counts[8]
         assert counts[14] <= 1.5 * 8 * (14 / 11) * counts[11]
@@ -114,6 +119,14 @@ class TestHeuristic:
     def test_coincident_points_merge(self):
         out = cluster_heuristic(RootList([(2.0, 2)]), self.params(1e-6))
         assert out.entries == ((2.0 + 0j, 2),)
+
+    def test_points_within_rounding_count_as_coincident(self):
+        # 1.0 and its next two doubles spread far beyond the triple's
+        # radius cap sigma ** (1/3) = 1e-20, but only by rounding
+        b = float(np.nextafter(1.0, 2.0))
+        pts = [1.0, b, float(np.nextafter(b, 2.0))]
+        out = cluster_heuristic(singles(pts), self.params(1e-60))
+        assert [m for _, m in out] == [3]
 
     def test_max_multiplicity_cap(self):
         out = cluster_heuristic(RootList([(2.0, 4)]), self.params(1e-6))

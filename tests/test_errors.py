@@ -48,6 +48,11 @@ OPTION_ERRORS = {
     "params_sigma_nan": lambda: ClusterParams(sigma=NAN),
     "params_max_mult": lambda: ClusterParams(sigma=1.0, max_multiplicity=0),
     "params_max_mult_nan": lambda: ClusterParams(sigma=1.0, max_multiplicity=NAN),
+    "params_max_mult_float": lambda: ClusterParams(sigma=1.0, max_multiplicity=2.5),
+    "params_max_mult_np_float": lambda: ClusterParams(
+        sigma=1.0, max_multiplicity=np.float64(3.0)
+    ),
+    "params_max_mult_str": lambda: ClusterParams(sigma=1.0, max_multiplicity="3"),
     "params_strategy": lambda: ClusterParams(sigma=1.0, strategy="bogus"),
     "dnc_sigma": lambda: cluster_dnc(RootList(), -1.0),
     "dnc_sigma_nan": lambda: cluster_dnc(RootList(), NAN),
