@@ -16,15 +16,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .cluster import ClusterParams, cluster
-from .errors import DegenerateInputError, InvalidParameterError, ZeroPolynomialError
+from .errors import (
+    DegenerateInputError, InvalidParameterError, ZeroPolynomialError, check_sigma
+)
 from .lagpoly import LagrangePoly, RootList, from_roots
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
 from .metric import RHO_SUM, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
 
-# Relative tolerance used when deduplicating candidate sample nodes for the
-# materialized GCD; kept above the near-duplicate warning threshold so the
-# chosen nodes never trigger conditioning complaints downstream.
+# Relative tolerance, to the largest spread the chosen nodes can have, used
+# when deduplicating candidate sample nodes for the materialized GCD; kept
+# above the near-duplicate warning threshold so the chosen nodes never warn.
 NODE_DEDUP_RTOL = 1e-7
 
 
@@ -36,9 +38,9 @@ class AgcdResult:
     The output polynomials gcd_poly, p_tilde_poly and q_tilde_poly and the
     cofactors cofactor_p and cofactor_q are computed on first read from
     those inputs and the graph and matching, then cached. An error from
-    building one (such as values that overflow) is raised at that read,
-    and reading p_tilde_poly or q_tilde_poly resamples on P's or Q's
-    nodes, so it can emit a NearDuplicateNodesWarning.
+    building one (such as values that overflow) is raised at that read;
+    p_tilde_poly and q_tilde_poly reuse P's and Q's checked nodes. The
+    warnings come in approximate_gcd's order, the inputs' node notes first.
     """
 
     gcd_roots: RootList
@@ -65,11 +67,11 @@ class AgcdResult:
 
     @cached_property
     def p_tilde_poly(self) -> LagrangePoly:
-        return from_roots(self.p_tilde_roots, self.p_report.poly.nodes)
+        return from_roots(self.p_tilde_roots, self.p_report.poly)
 
     @cached_property
     def q_tilde_poly(self) -> LagrangePoly:
-        return from_roots(self.q_tilde_roots, self.q_report.poly.nodes)
+        return from_roots(self.q_tilde_roots, self.q_report.poly)
 
     # the cofactors are the leftovers alone: reconstruct without the GCD
     @cached_property
@@ -130,9 +132,8 @@ def certify_distance(
 ) -> Tuple[float, bool]:
     """Distance from the root vector p (a RootList or complex sequence) to
     the reconstructed pt, and whether it is within sigma; raises
-    InvalidParameterError unless sigma >= 0."""
-    if not sigma >= 0:  # also rejects nan
-        raise InvalidParameterError("sigma must be >= 0")
+    InvalidParameterError unless sigma is a real number >= 0."""
+    check_sigma(sigma)
     d = root_pseudometric(p, pt, rho=rho)
     return d, d <= sigma
 
@@ -143,10 +144,15 @@ def _gcd_sample_nodes(gcd: RootList, p: LagrangePoly, q: LagrangePoly) -> np.nda
     needed = gcd.total_multiplicity() + 1
     reals = np.concatenate([p.nodes.real, q.nodes.real])
     lo, hi = float(reals.min()), float(reals.max())
+    mid = 0.5 * (lo + hi)
     if hi - lo < 1.0:
-        mid = 0.5 * (lo + hi)
         lo, hi = mid - 0.5, mid + 0.5
-    tol = NODE_DEDUP_RTOL * max(1.0, hi - lo)
+    # all chosen nodes lie within reach of mid; a hull too narrow to hold
+    # `needed` nodes tol apart is widened (within reach: needed < 2.5e6)
+    reach = max([0.5, 0.5 * (hi - lo), abs(mid)] + [abs(r - mid) for r, _ in gcd])
+    tol = NODE_DEDUP_RTOL * 2 * reach
+    if hi - lo < 4 * needed * tol:
+        lo, hi = mid - 2 * needed * tol, mid + 2 * needed * tol
 
     chosen: List[complex] = []
 
@@ -183,10 +189,10 @@ def approximate_gcd(
     params.sigma drives clustering; sigma (default params.sigma) bounds
     both the graph's edges and the distance certificate. The clustered
     roots are the graph's left (P) and right (Q) sides. Diagnostics go
-    only to AgcdResult.warnings: each failed certify_distance with its
-    distance, then each side's rootfinding note. A side whose rootfinding
-    keeps no root raises DegenerateInputError. No output polynomial is
-    built here; see AgcdResult for the fields computed on first read.
+    only to AgcdResult.warnings: each input's LagrangePoly.note, each failed
+    certify_distance with its distance, then each side's rootfinding note.
+    A side whose rootfinding keeps no root raises DegenerateInputError.
+    No output polynomial is built here; AgcdResult builds them on read.
     """
     for poly, name in ((p, "P"), (q, "Q")):
         if np.max(np.abs(poly.values)) == 0.0:
@@ -220,7 +226,8 @@ def approximate_gcd(
 
     dist_p, cert_p = certify_distance(p_report.roots, p_tilde, sigma, rho=rho)
     dist_q, cert_q = certify_distance(q_report.roots, q_tilde, sigma, rho=rho)
-    warns = [
+    warns = ["%s nodes: %s" % (n, x.note) for n, x in (("P", p), ("Q", q)) if x.note]
+    warns += [
         "distance certificate failed for %s: d=%.6g > sigma=%.6g" % (name, d, sigma)
         for name, ok, d in (("P", cert_p, dist_p), ("Q", cert_q, dist_q))
         if not ok

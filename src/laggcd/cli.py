@@ -19,13 +19,12 @@ import io
 import json
 import math
 import sys
-import warnings
 from collections import Counter
 from typing import Optional
 
 from .agcd import AgcdResult, approximate_gcd
 from .cluster import ClusterParams, cluster as run_cluster
-from .errors import LagGcdError, NearDuplicateNodesWarning
+from .errors import LagGcdError
 from .lagpoly import LagrangePoly, RootList
 from .problemfile import ProblemFile, load_points, load_problem
 from .rootfind import roots as find_roots
@@ -101,7 +100,7 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def _agcd_json(result: AgcdResult, settings: dict, notes: list) -> dict:
+def _agcd_json(result: AgcdResult, settings: dict) -> dict:
     return {
         **settings,
         "gcd": {
@@ -139,7 +138,7 @@ def _agcd_json(result: AgcdResult, settings: dict, notes: list) -> dict:
         "dist_q": result.dist_q,
         "cert_p": result.cert_p,
         "cert_q": result.cert_q,
-        "warnings": notes + result.warnings,
+        "warnings": result.warnings,
     }
 
 
@@ -162,24 +161,11 @@ def repr_complex(z: complex) -> str:
     return "%.17g%+.17gj" % (z.real, z.imag)
 
 
-def _sampled(name: str, x, y, notes: list) -> LagrangePoly:
-    """LagrangePoly(x, y), noting a NearDuplicateNodesWarning in notes."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NearDuplicateNodesWarning)
-        poly = LagrangePoly(x, y)
-    for w in caught:  # shown as usual, the near-duplicate ones also noted
-        if issubclass(w.category, NearDuplicateNodesWarning):
-            notes.append("%s nodes: %s" % (name, w.message))
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return poly
-
-
 def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
     sigma, params = _run_params(args, pf)
     rho = args.rho or pf.rho or "sum"
-    notes = []
-    p, q = _sampled("P", pf.px, pf.py, notes), _sampled("Q", pf.qx, pf.qy, notes)
+    p, q = LagrangePoly(pf.px, pf.py), LagrangePoly(pf.qx, pf.qy)
     settings = {
         "sigma": sigma,
         "sigmas": {"cluster": params.sigma, "edge": sigma, "cert": sigma},
@@ -187,17 +173,10 @@ def cmd_agcd(args) -> int:
         "matcher": args.matcher,
         "strategy": params.strategy.value,
     }
-    with warnings.catch_warnings():
-        # reading the output polynomials resamples them on P's and Q's
-        # nodes, which warned above
-        warnings.simplefilter("ignore", NearDuplicateNodesWarning)
-        result = approximate_gcd(
-            p, q, params, matcher=args.matcher, rho=rho, sigma=sigma
-        )
-        if args.graph_csv:
-            _emit(_graph_csv(result), args.graph_csv)
-        payload = _agcd_json(result, settings, notes)
-    _emit(json.dumps(payload, indent=2), args.output)
+    result = approximate_gcd(p, q, params, matcher=args.matcher, rho=rho, sigma=sigma)
+    if args.graph_csv:
+        _emit(_graph_csv(result), args.graph_csv)
+    _emit(json.dumps(_agcd_json(result, settings), indent=2), args.output)
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_sigma
 from .lagpoly import RootList
 
 # Heuristic acceptance constants; deliberate engineering defaults, pinned
@@ -59,9 +59,7 @@ class ClusterParams:
             self.strategy = Strategy(self.strategy)
         except ValueError as exc:  # "'x' is not a valid Strategy"
             raise InvalidParameterError(str(exc)) from None
-        # written as `not x >= ...` so that NaN fails too
-        if not self.sigma >= 0:
-            raise InvalidParameterError("sigma must be >= 0")
+        check_sigma(self.sigma)
         try:  # an integer, as RootList reads multiplicities
             self.max_multiplicity = operator.index(self.max_multiplicity)
         except TypeError:
@@ -120,8 +118,7 @@ def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     This is the reference behaviour: a chain like [1, 1.5, 2] at sigma 0.5
     collapses only partially. An empty list comes back unchanged.
     """
-    if not sigma >= 0:
-        raise InvalidParameterError("sigma must be >= 0")
+    check_sigma(sigma)
     if not roots:
         return roots
     return RootList(_dnc(roots.entries, 0, len(roots), sigma))

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+check of a tolerance."""
+
+import numbers
 
 
 class LagGcdError(Exception):
@@ -49,3 +52,14 @@ class ProblemFileError(LagGcdError):
 
 class NearDuplicateNodesWarning(UserWarning):
     """Two nodes are close enough to threaten conditioning, but still distinct."""
+
+
+def check_sigma(sigma) -> None:
+    """Raise InvalidParameterError unless sigma is a real number >= 0: a
+    NaN, a bool, a complex number or a non-number fails; numpy scalars
+    and inf pass."""
+    # float first: it is the usual case, and the ABC check is slow
+    if isinstance(sigma, bool) or not isinstance(sigma, (float, numbers.Real)):
+        raise InvalidParameterError("sigma must be a real number, got %r" % (sigma,))
+    if not sigma >= 0:  # also rejects nan
+        raise InvalidParameterError("sigma must be >= 0")

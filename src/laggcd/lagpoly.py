@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import operator
 import warnings
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,11 @@ def barycentric_weights(nodes) -> np.ndarray:
     a weight whose product overflows or underflows (infinite, NaN or
     exactly 0), raises DegenerateInputError.
     """
+    return _weights(nodes)[0]
+
+
+def _weights(nodes) -> Tuple[np.ndarray, Optional[str]]:
+    """barycentric_weights, and the message of its warning (None if none)."""
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
@@ -45,7 +50,7 @@ def barycentric_weights(nodes) -> np.ndarray:
     if not finite.all():
         raise InvalidParameterError("nodes must be finite, got %s" % x[~finite][0])
     if len(x) == 1:
-        return np.ones(1, dtype=complex)
+        return np.ones(1, dtype=complex), None
     with np.errstate(all="ignore"):  # overflow and underflow are checked below
         diff = x[:, None] - x[None, :]
         gaps = np.abs(diff)
@@ -61,21 +66,21 @@ def barycentric_weights(nodes) -> np.ndarray:
             "nodes must be pairwise distinct (smallest gap %.3e, spread %.3e)"
             % (smallest, spread)
         )
+    note = None
     if smallest < NEAR_DUPLICATE_GAP_RTOL * spread:
-        # attributed to the caller of LagrangePoly, the usual entry point
-        warnings.warn(
+        note = (
             "nearly coincident nodes (gap %.3e vs spread %.3e); "
-            "expect poor conditioning" % (smallest, spread),
-            NearDuplicateNodesWarning,
-            stacklevel=3,
+            "expect poor conditioning" % (smallest, spread)
         )
+        # attributed to the caller of barycentric_weights or LagrangePoly
+        warnings.warn(note, NearDuplicateNodesWarning, stacklevel=3)
     bad = np.count_nonzero(~np.isfinite(weights) | (weights == 0))
     if bad:
         raise DegenerateInputError(
             "%d of the %d barycentric weights overflow or underflow "
             "(node spread %.3e)" % (bad, len(x), spread)
         )
-    return weights
+    return weights, note
 
 
 class LagrangePoly:
@@ -83,11 +88,15 @@ class LagrangePoly:
 
     The nominal degree is len(nodes) - 1. Instances are immutable; the
     barycentric weights are computed on construction, which also checks
-    the nodes. A NaN or infinite value raises InvalidParameterError.
+    the nodes; `note` is their NearDuplicateNodesWarning's message or None.
+    A LagrangePoly given as nodes lends its nodes, weights and note, which
+    are neither checked nor warned about again. A NaN or infinite value
+    raises InvalidParameterError.
     """
 
     def __init__(self, nodes, values):
-        nodes = np.array(nodes, dtype=complex)
+        base = nodes if isinstance(nodes, LagrangePoly) else None
+        nodes = base.nodes if base else np.array(nodes, dtype=complex)
         values = np.array(values, dtype=complex)
         if nodes.ndim != 1 or values.ndim != 1:
             raise InvalidParameterError("nodes and values must be 1-d sequences")
@@ -98,10 +107,15 @@ class LagrangePoly:
             raise InvalidParameterError(
                 "values must be finite, got %s" % values[~finite][0]
             )
-        weights = barycentric_weights(nodes)
+        weights, note = (base.weights, base.note) if base else _weights(nodes)
         for arr in (nodes, values, weights):
             arr.flags.writeable = False
         self.nodes, self.values, self.weights = nodes, values, weights
+        self._note = note
+
+    @property
+    def note(self) -> Optional[str]:
+        return self._note
 
     @property
     def degree(self) -> int:
@@ -115,14 +129,14 @@ class LagrangePoly:
 
 
 def evaluate(p: LagrangePoly, z):
-    """Evaluate the interpolant at z (scalar or array).
+    """Evaluate the interpolant at z: a scalar for a scalar, else an
+    array of z's shape.
 
     Uses the second barycentric form; if z coincides exactly with a node
     the stored value is returned unchanged (no tolerance involved).
     """
     zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zz = np.atleast_1d(zarr)
+    zz = zarr.reshape(-1)
     diff = zz[:, None] - p.nodes[None, :]
     out = np.empty(len(zz), dtype=complex)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
@@ -132,7 +146,7 @@ def evaluate(p: LagrangePoly, z):
         den = ratio.sum(axis=1)
         out[:] = num / den
     out[hit_rows] = p.values[hit_cols]
-    return out[0] if scalar else out
+    return out[0] if zarr.ndim == 0 else out.reshape(zarr.shape)
 
 
 class RootList:
@@ -195,10 +209,10 @@ class RootList:
 
 def from_roots(
     roots: RootList,
-    nodes: Sequence,
+    nodes: Union[Sequence, LagrangePoly],
     leading_coeff: complex = 1.0,
 ) -> LagrangePoly:
-    """Sample leading_coeff * prod (x - r)^mult at the given nodes.
+    """Sample leading_coeff * prod (x - r)^mult at nodes (or a LagrangePoly's).
 
     The node list must have at least total_multiplicity + 1 entries so the
     product is represented exactly. Per node, factors are multiplied in
@@ -211,7 +225,8 @@ def from_roots(
     per-node loop; np.abs on complex is not Python's abs bit for bit, so
     code that must match abs(complex) uses np.hypot instead.
     """
-    x = np.asarray(nodes, dtype=complex)
+    shared = isinstance(nodes, LagrangePoly)
+    x = nodes.nodes if shared else np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
     deg = roots.total_multiplicity()
@@ -228,4 +243,4 @@ def from_roots(
         vr, vi = vr * fr - vi * fi, vr * fi + vi * fr
     values = np.empty(len(x), dtype=complex)
     values.real, values.imag = vr, vi
-    return LagrangePoly(x, values)
+    return LagrangePoly(nodes if shared else x, values)

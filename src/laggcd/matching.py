@@ -16,7 +16,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidParameterError, SizeGuardError
+from .errors import InvalidParameterError, SizeGuardError, check_sigma
 from .lagpoly import RootList
 
 EXACT_SIZE_GUARD = 10_000  # max |left| * |right| for the exact solver
@@ -62,8 +62,7 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
     rounding cannot drop a pair, and it is visited in ascending index, so
     the edges and their (i, j) order are those of the all-pairs scan.
     """
-    if not sigma >= 0:
-        raise InvalidParameterError("sigma must be >= 0")
+    check_sigma(sigma)
     right = roots_q.entries
     reals = [s.real for s, _ in right]
     edges: List[Edge] = []

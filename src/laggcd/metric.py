@@ -41,7 +41,13 @@ RHO_MAX = "max"
 def _coords(obj) -> np.ndarray:
     if isinstance(obj, RootList):
         return obj.expand()
-    return np.asarray(obj, dtype=complex)
+    try:
+        v = np.asarray(obj, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        v = None
+    if v is None or v.ndim != 1:
+        raise InvalidParameterError("root vectors must be 1-d sequences of numbers")
+    return v
 
 
 def _bottleneck(dist: np.ndarray) -> float:
@@ -104,8 +110,8 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     A root vector is a RootList (multiplicity expanded) or any complex
     sequence. Raises LengthMismatchError when the lengths differ: the
     pseudometric is only defined between polynomials of the same degree.
-    Raises InvalidParameterError for an unknown rho or a non-finite
-    coordinate.
+    Raises InvalidParameterError for an unknown rho, a root vector that is
+    not a 1-d sequence of numbers, or a non-finite coordinate.
     """
     if rho not in (RHO_SUM, RHO_MAX):
         raise InvalidParameterError("rho must be 'sum' or 'max', got %r" % (rho,))

@@ -348,16 +348,63 @@ def test_outputs_are_computed_on_first_read_only(monkeypatch, ref_p, ref_q):
 
 
 def test_near_duplicate_nodes_warn_only_when_read():
+    # P's nodes warn once, when P is read in; the run notes them first in
+    # its warnings, and reading its outputs does not warn again
     x = np.array([0.0, 1.0, 2.0, 2.0 + 1e-9])
-    with pytest.warns(NearDuplicateNodesWarning):
+    with pytest.warns(NearDuplicateNodesWarning) as caught:
         p = LagrangePoly(x, (x - 1) * (x - 3) * (x + 1))
     q = from_roots(RootList([(1.0, 1), (4.0, 1)]), np.array([-1.0, 2.5, 6.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = approximate_gcd(p, q, ClusterParams(sigma=1e-3))
-        res.gcd_poly, res.q_tilde_poly, res.cofactor_p, res.cofactor_q
-    with pytest.warns(NearDuplicateNodesWarning):
-        res.p_tilde_poly
+        for name in LAZY_POLYS + ("cofactor_p", "cofactor_q"):
+            getattr(res, name)
+        res.p_report.residuals, res.q_report.residuals
+    assert res.warnings[0] == "P nodes: %s" % caught[0].message
+    assert not any(note.startswith("Q nodes") for note in res.warnings)
+
+
+def test_resampled_outputs_share_input_nodes(ref_p, ref_q):
+    res = approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5))
+    for poly, report in (
+        (res.p_tilde_poly, res.p_report),
+        (res.q_tilde_poly, res.q_report),
+    ):
+        assert poly.nodes is report.poly.nodes
+        assert poly.weights is report.poly.weights
+        assert poly.note is report.poly.note is None
+
+
+def test_gcd_sample_nodes_clear_of_far_roots():
+    # a GCD root at 1000 stretches the sample nodes' spread far beyond the
+    # node hull, and a root at 3e-7 sits next to 0: the dedup tolerance
+    # must follow the spread, or gcd_poly warns about its own nodes
+    xp = np.cos(np.pi * (np.arange(5) + 0.5) / 6)
+    xq = np.cos(np.pi * (np.arange(4) + 0.5) / 6)
+    p = from_roots(RootList([(1000.0, 1), (3e-7, 1), (0.5, 1), (-0.5, 1)]), xp)
+    q = from_roots(RootList([(1000.0, 1), (3e-7, 1), (0.7, 1)]), xq)
+    res = approximate_gcd(p, q, ClusterParams(sigma=1e-9), sigma=1e-6)
+    assert res.gcd_degree == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gcd = res.gcd_poly
+    assert gcd.note is None
+    for z in (0.25, 500.0 + 2.0j):
+        want = np.prod([z - r for r in res.gcd_roots.expand()])
+        assert abs(gcd(z) - want) <= 1e-9 * abs(want)
+
+
+def test_gcd_sample_nodes_clear_of_a_far_zero():
+    # nodes 1e7 away from 0 give a dedup tolerance of about 2, wider than
+    # the hull holds for 9 nodes: it is widened, and nothing warns
+    x = 1e7 + np.linspace(0.0, 10.0, 14)
+    p, q = LagrangePoly(x, np.ones(14)), LagrangePoly(x[:12], np.ones(12))
+    gcd = RootList((1e7 + 3.0 + 0.01 * k, 1) for k in range(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes = agcd_module._gcd_sample_nodes(gcd, p, q)
+        assert from_roots(gcd, nodes).note is None
+    assert len(nodes) == 9
 
 
 def assert_same_rootlist(got, want):

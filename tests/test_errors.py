@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import laggcd
+from laggcd import rootfind as rootfind_module
 from laggcd import (
     ClusterParams,
     DegenerateInputError,
@@ -30,6 +31,7 @@ from laggcd import (
     root_pseudometric,
     roots,
 )
+from laggcd.cli import main
 
 NAN = math.nan
 INF = math.inf
@@ -115,7 +117,40 @@ OPTION_ERRORS = {
     "dnc_centroid_overflow": lambda: cluster_dnc(
         RootList([(1e308, 1), (1.5e308, 1)]), 1e308
     ),
+    "metric_scalar": lambda: root_pseudometric(1.0, 2.0),
+    "metric_2d": lambda: root_pseudometric([[1.0, 2.0]], [[1.0, 2.0]]),
+    "metric_ragged": lambda: root_pseudometric([[1.0], [1.0, 2.0]], [1.0, 2.0]),
+    "metric_words": lambda: root_pseudometric(["a", "b"], [1.0, 2.0]),
 }
+
+# one check serves every tolerance: a bool is no tolerance, though it is an int
+NOT_A_SIGMA = {"str": "0.1", "none": None, "complex": 0.1 + 0j, "bool": True}
+SIGMA_TAKERS = {
+    "params": lambda sigma: ClusterParams(sigma=sigma),
+    "dnc": lambda sigma: cluster_dnc(RootList(), sigma),
+    "graph": lambda sigma: build_graph(RootList(), RootList(), sigma),
+    "certify": lambda sigma: certify_distance([0.0], RootList([(0.0, 1)]), sigma),
+}
+for _taker, _call in SIGMA_TAKERS.items():
+    for _kind, _sigma in NOT_A_SIGMA.items():
+        OPTION_ERRORS["%s_sigma_%s" % (_taker, _kind)] = (
+            lambda call=_call, sigma=_sigma: call(sigma)
+        )
+
+
+@pytest.mark.parametrize(
+    "sigma", [0, 0.5, np.float64(0.5), np.float32(0.5), np.int64(2), INF]
+)
+@pytest.mark.parametrize("call", SIGMA_TAKERS.values(), ids=SIGMA_TAKERS.keys())
+def test_real_sigmas_pass(call, sigma):
+    call(sigma)
+
+
+@pytest.mark.parametrize("sigma", [NAN, -1.0])
+@pytest.mark.parametrize("call", SIGMA_TAKERS.values(), ids=SIGMA_TAKERS.keys())
+def test_nan_or_negative_sigma_message(call, sigma):
+    with pytest.raises(InvalidParameterError, match=r"^sigma must be >= 0$"):
+        call(sigma)
 
 
 @pytest.mark.parametrize("call", OPTION_ERRORS.values(), ids=OPTION_ERRORS.keys())
@@ -145,6 +180,42 @@ def test_roots_of_nan_values_is_input_error():
     with pytest.raises(InvalidParameterError) as exc:
         roots(LagrangePoly([0.0, 1.0, 2.0], [1.0, NAN, 5.0]))
     assert exc.value.exit_code == 2
+
+
+def _faulty_lapack(fault):
+    """get_lapack_funcs whose ?ggev reports info 1, or returns a NaN alpha."""
+    real = rootfind_module.get_lapack_funcs
+
+    def get(names, arrays):
+        (ggev,) = real(names, arrays)
+
+        def faulty(*args, **kwargs):
+            *out, info = ggev(*args, **kwargs)
+            if fault == "info":
+                info = 1
+            else:  # alphar of dggev, alpha of zggev
+                out[0] = np.full_like(out[0], NAN)
+            return (*out, info)
+
+        return (faulty,)
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "fault, message", [("info", "info 1"), ("nan_alpha", "non-finite")]
+)
+@pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+def test_eigensolver_faults_are_typed(
+    monkeypatch, capsys, problem_file, fault, message, imag
+):
+    monkeypatch.setattr(rootfind_module, "get_lapack_funcs", _faulty_lapack(fault))
+    with pytest.raises(EigensolveFailureError, match=message):
+        roots(LagrangePoly([0.0, 1.0, 2.0], [1.0, 1j * imag, 3.0]))
+    assert main(["roots", problem_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_overflowing_node_differences_are_degenerate():

@@ -9,6 +9,7 @@ from laggcd import (
     DegenerateInputError,
     DuplicateNodesError,
     InsufficientNodesError,
+    InvalidParameterError,
     LagrangePoly,
     NearDuplicateNodesWarning,
     RootList,
@@ -127,6 +128,38 @@ class TestLagrangePolyWeights:
                     evaluate(build(), 0.5)  # uses the stored weights
                 assert [w.category for w in caught] == [NearDuplicateNodesWarning]
 
+    def test_note_keeps_the_warning_message(self):
+        with pytest.warns(NearDuplicateNodesWarning) as caught:
+            p = LagrangePoly([0.0, 1e-10, 1.0], [1.0, 2.0, 3.0])
+        assert p.note == str(caught[0].message)
+        assert LagrangePoly(PX, PY).note is None
+        with pytest.raises(AttributeError):
+            p.note = None
+
+    def test_resampling_on_a_poly_shares_its_checked_nodes(self):
+        with pytest.warns(NearDuplicateNodesWarning):
+            base = LagrangePoly([0.0, 1e-10, 1.0], [1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resampled = (
+                LagrangePoly(base, [4.0, 5.0, 6.0]),
+                from_roots(RootList([(0.5, 1)]), base),
+            )
+        with pytest.warns(NearDuplicateNodesWarning):  # nodes given again
+            want = from_roots(RootList([(0.5, 1)]), np.array(base.nodes))
+        assert resampled[1].values.tobytes() == want.values.tobytes()
+        for poly in resampled:
+            assert poly.nodes is base.nodes and poly.weights is base.weights
+            assert poly.note == base.note
+            assert not poly.values.flags.writeable
+
+    def test_resampling_checks_values_against_the_nodes(self):
+        base = LagrangePoly([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidParameterError):
+            LagrangePoly(base, [1.0, 2.0])
+        with pytest.raises(InsufficientNodesError):
+            from_roots(RootList([(0.5, 3)]), base)
+
 
 class TestEvaluate:
     def test_square_interpolant(self):
@@ -168,6 +201,19 @@ class TestEvaluate:
         batch = evaluate(p, zs)
         for z, b in zip(zs, batch):
             assert evaluate(p, z) == b
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (4, 1, 2)])
+    def test_array_of_any_shape_matches_scalar(self, rng, shape):
+        # (3, 4): the last dimension equals the node count
+        p = LagrangePoly([0, 1, 2, 3], [1, -1, 2, 0])
+        zs = rng.uniform(-2, 5, shape) + 1j * rng.uniform(-1, 1, shape)
+        zs.flat[1] = p.nodes[2]  # an exact node hit
+        got = p(zs)
+        assert got.shape == zs.shape
+        assert got.flat[1] == p.values[2]
+        for z, b in zip(zs.flat, got.flat):
+            assert evaluate(p, z) == b
+        assert np.isscalar(p(0.5))
 
 
 class TestRootList:
