@@ -4,7 +4,10 @@ Two interchangeable strategies:
 
 * a divide-and-conquer pass patterned on the classic closest-pair
   recursion, merging pairs within tolerance by multiplicity-weighted
-  centroid, and
+  centroid. A sweep over the roots' real-part order first gives each root
+  its partner index, the first later root within tolerance; the recursion
+  then visits only the subtrees that hold a root and its partner, since
+  nothing merges in the others, and
 * a heuristic scan that looks for near-circular, near-equiangular
   clusters (the footprint a perturbed m-fold root leaves behind),
   preferring higher multiplicities.
@@ -17,13 +20,13 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidParameterError, check_sigma
-from .lagpoly import RootList
+from .lagpoly import RootList, real_slack
 
 # Heuristic acceptance constants; deliberate engineering defaults, pinned
 # by tests.
@@ -98,30 +101,95 @@ def _merge_strip(points: List[Item], sigma: float) -> List[Item]:
     return pts
 
 
-def _dnc(q: List[Item], lo: int, hi: int, sigma: float) -> List[Item]:
-    if hi - lo == 1:
-        return [q[lo]]
+def _partners(q: Sequence[Item], sigma: float, slack: float) -> List[int]:
+    """first[a]: the index of the first later entry of q within sigma of
+    q[a], by the exact test abs(r - s) <= sigma, or len(q) if there is none.
+
+    q is in real-part order, so the scan from a stops at the first partner
+    or at the first entry whose real part lies more than slack past r's.
+    """
+    n = len(q)
+    pts = [r for r, _ in q]
+    first = [n] * n
+    for a in range(n - 1):
+        r = pts[a]
+        edge = r.real + slack
+        b = a + 1
+        while b < n:
+            s = pts[b]
+            if s.real > edge:
+                break
+            if abs(r - s) <= sigma:
+                first[a] = b
+                break
+            b += 1
+    return first
+
+
+def _order(t: Item):
+    return (t[0].real, t[0].imag)
+
+
+def _dnc(
+    q: Sequence[Item], first: List[int], lo: int, hi: int, sigma: float, slack: float
+) -> List[Item]:
+    """The merge recursion on q[lo:hi], with its result sorted by _order.
+
+    The plain recursion returns "rest + merged strip" at each node; this
+    returns the stable sort of that list, so equal roots keep its order.
+    """
+    if min(first[lo:hi]) >= hi:  # no two roots within sigma: nothing merges
+        return list(q[lo:hi])
+    if hi - lo == 2:  # the pair is within sigma, so its real gap is too
+        return _merge_strip([q[lo], q[lo + 1]], sigma)
     # split index per the 1-based floor((l+r)/2) convention
     mid = (lo + 1 + hi) // 2
-    both = _dnc(q, lo, mid, sigma) + _dnc(q, mid, hi, sigma)
+    left = _dnc(q, first, lo, mid, sigma, slack)
+    right = _dnc(q, first, mid, hi, sigma, slack)
     mid_x = q[mid - 1][0].real
-    # only the strip's order matters, and a stable sort commutes with
-    # this filter, so the strip alone is sorted (in _merge_strip)
-    strip = [t for t in both if abs(t[0].real - mid_x) <= sigma]
-    rest = [t for t in both if abs(t[0].real - mid_x) > sigma]
-    return rest + _merge_strip(strip, sigma)
+    # both children are sorted, so the strip lies in left[i:] + right[:j],
+    # the entries within slack of the split
+    i, j, k = len(left), 0, len(right)
+    while i and left[i - 1][0].real >= mid_x - slack:
+        i -= 1
+    while j < k and right[j][0].real <= mid_x + slack:
+        j += 1
+    window = left[i:] + right[:j]
+    strip = [t for t in window if abs(t[0].real - mid_x) <= sigma]
+    rest = [t for t in window if abs(t[0].real - mid_x) > sigma]
+    merged = _merge_strip(strip, sigma)
+    middle = sorted(rest + merged, key=_order)
+    # a centroid sorts after an equal root of right[j:] in the stable sort,
+    # and rounding may carry one past either end of the window
+    if middle and (
+        (i and _order(left[i - 1]) > _order(middle[0]))
+        or (j < k and _order(middle[-1]) >= _order(right[j]))
+    ):
+        return sorted(left[:i] + rest + right[j:] + merged, key=_order)
+    return left[:i] + middle + right[j:]
 
 
 def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     """Divide-and-conquer clustering at tolerance sigma, in a single pass.
 
     This is the reference behaviour: a chain like [1, 1.5, 2] at sigma 0.5
-    collapses only partially. An empty list comes back unchanged.
+    collapses only partially. A list with no two roots within sigma (an
+    empty one included) comes back unchanged.
+
+    One sweep over the real-part order first records each root's partner
+    index: the first later root within sigma (_partners). A subtree of the
+    recursion whose roots all have their partners outside it holds no two
+    roots within sigma, so nothing in it merges, and it is not visited. A
+    visited node keeps its result sorted and finds the strip next to the
+    split. Both scans look at real parts within real_slack of their centre.
     """
     check_sigma(sigma)
-    if not roots:
+    q = roots.entries
+    slack = real_slack(q, sigma)
+    first = _partners(q, sigma, slack)
+    if min(first, default=len(q)) == len(q):
         return roots
-    return RootList(_dnc(roots.entries, 0, len(roots), sigma))
+    return RootList(_dnc(q, first, 0, len(q), sigma, slack))
 
 
 def _knn_candidates(points, active, m):

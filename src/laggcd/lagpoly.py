@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import operator
+import sys
 import warnings
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -26,6 +27,7 @@ from .errors import (
 # nearly coincident nodes.
 DUPLICATE_GAP_RTOL = 1e-12
 NEAR_DUPLICATE_GAP_RTOL = 1e-8
+_EPS = sys.float_info.epsilon
 
 
 def barycentric_weights(nodes) -> np.ndarray:
@@ -205,6 +207,19 @@ class RootList:
 
     def __repr__(self) -> str:
         return "RootList(%r)" % (list(self.entries),)
+
+
+def real_slack(entries: Sequence[Tuple[complex, int]], sigma: float) -> float:
+    """Half-width of a real-part window that holds, around the real part of
+    any root r of entries (in a RootList's order), every root s with
+    abs(r - s) <= sigma.
+
+    It is sigma widened by a few ulps of the largest real part, so that no
+    rounding in the subtraction, the hypotenuse or the window's own bounds
+    can drop a pair from a sweep over the real-part order.
+    """
+    reach = max(abs(entries[0][0].real), abs(entries[-1][0].real)) if entries else 0.0
+    return sigma + 4 * _EPS * (reach + sigma)
 
 
 def from_roots(

@@ -8,7 +8,6 @@ solver is provided as an oracle for tests and for small problems.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -17,10 +16,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParameterError, SizeGuardError, check_sigma
-from .lagpoly import RootList
+from .lagpoly import RootList, real_slack
 
 EXACT_SIZE_GUARD = 10_000  # max |left| * |right| for the exact solver
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -58,16 +56,16 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
     A sort-and-sweep: Q's entries are already in real-part order (RootList
     keeps them so), so each P root bisects the window of real parts within
     sigma of its own and tests only that window, with the exact test
-    abs(r - s) <= sigma. The window is widened by a few ulps so that
-    rounding cannot drop a pair, and it is visited in ascending index, so
+    abs(r - s) <= sigma. The window is widened by a few ulps (real_slack)
+    so that rounding cannot drop a pair, and it is visited in ascending index, so
     the edges and their (i, j) order are those of the all-pairs scan.
     """
     check_sigma(sigma)
     right = roots_q.entries
     reals = [s.real for s, _ in right]
+    slack = real_slack(roots_p.entries, sigma)
     edges: List[Edge] = []
     for i, (r, dr) in enumerate(roots_p):
-        slack = sigma + 4 * _EPS * (abs(r.real) + sigma)
         lo = bisect_left(reals, r.real - slack)
         hi = bisect_right(reals, r.real + slack)
         for j in range(lo, hi):

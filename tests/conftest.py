@@ -1,9 +1,8 @@
 """Shared fixtures: the worked reference dataset, seeded RNG and a counter
-of the divide-and-conquer clustering's merge comparisons."""
+of the pair distances the divide-and-conquer clustering evaluates."""
 
 import importlib
 import json
-import math
 import os
 
 # One BLAS thread, set before numpy loads: the timing ratios of the
@@ -52,19 +51,18 @@ def rng():
 @pytest.fixture
 def dnc_comparisons(monkeypatch):
     """A function that runs cluster_dnc(roots, sigma) and returns the pair
-    comparisons its strip merges made: a strip of k points that merges m
-    times scans all pairs of its k, k - 1, ..., k - m points."""
-    merge = CLUSTER_MODULE._merge_strip
+    distances abs(r - s) it evaluated: those of the partner sweep and
+    those of the strip merges. The cluster module's abs is replaced by one
+    that counts its complex arguments; the strip test takes abs of a real
+    difference, which is no pair distance."""
     count = 0
 
-    def counted(points, sigma):
+    def counted(x):
         nonlocal count
-        out = merge(points, sigma)
-        k = len(points)
-        count += sum(math.comb(k - j, 2) for j in range(k - len(out) + 1))
-        return out
+        count += isinstance(x, complex)
+        return abs(x)
 
-    monkeypatch.setattr(CLUSTER_MODULE, "_merge_strip", counted)
+    monkeypatch.setattr(CLUSTER_MODULE, "abs", counted, raising=False)
 
     def run(roots, sigma):
         nonlocal count

@@ -76,15 +76,17 @@ class TestDnC:
         assert a == b
 
     def test_comparison_counting(self, dnc_comparisons):
-        # the left half's strip scans 1 pair, merges, and stops at one
-        # point; the top strip scans the merged point against 2.0
-        assert dnc_comparisons(singles([1.0, 1.5, 2.0]), 0.5) == 2
+        # the sweep measures 1.0-1.5 and 1.5-2.0, each a first partner; the
+        # left pair merges after 1 comparison; the top strip compares the
+        # merged point with 2.0
+        assert dnc_comparisons(singles([1.0, 1.5, 2.0]), 0.5) == 4
 
     def test_comparison_count_matches_instrumented_merge(self, dnc_comparisons):
-        # counts of an instrumented merge loop that incremented once per
-        # pair it compared, on these clouds
+        # counts of an instrumented loop that incremented once per pair
+        # distance it evaluated, on these clouds: 198 + 461 and 998 + 1831
+        # of the sweep and the strip merges
         rng = np.random.default_rng(5)
-        for n, expected in ((64, 558), (256, 2705)):
+        for n, expected in ((64, 659), (256, 2829)):
             pts = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 1, n)
             assert dnc_comparisons(singles(pts), 4.0 / n) == expected
 

@@ -1,8 +1,9 @@
 """The near-linear geometry layers against the all-pairs loops they replace.
 
-Each oracle below is the straightforward quadratic version of a layer:
-the all-pairs edge scan, a full sort per point for nearest neighbours,
-a binary search over every distinct distance for the bottleneck, a
+Each oracle below is the straightforward version of a layer: the
+divide-and-conquer clustering recursion that visits every node, the
+all-pairs edge scan, a full sort per point for nearest neighbours, a
+binary search over every distinct distance for the bottleneck, a
 per-node product loop for sampling from roots, and the dense assignment
 over all n x n distances for rho="sum". The fast versions must give the
 same Python objects and the same floats, bit for bit (rho="sum" only
@@ -23,6 +24,7 @@ from laggcd import (
     ClusterParams,
     RootList,
     build_graph,
+    cluster_dnc,
     cluster_heuristic,
     from_roots,
     root_pseudometric,
@@ -36,6 +38,23 @@ cluster_mod = importlib.import_module("laggcd.cluster")
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def _oracle_dnc(q, lo, hi, sigma):
+    if hi - lo == 1:
+        return [q[lo]]
+    mid = (lo + 1 + hi) // 2
+    both = _oracle_dnc(q, lo, mid, sigma) + _oracle_dnc(q, mid, hi, sigma)
+    mid_x = q[mid - 1][0].real
+    strip = [t for t in both if abs(t[0].real - mid_x) <= sigma]
+    rest = [t for t in both if abs(t[0].real - mid_x) > sigma]
+    return rest + cluster_mod._merge_strip(strip, sigma)
+
+
+def oracle_dnc(roots, sigma):
+    if not roots:
+        return roots
+    return RootList(_oracle_dnc(roots.entries, 0, len(roots), sigma))
 
 
 def oracle_edges(roots_p, roots_q, sigma):
@@ -129,6 +148,125 @@ def with_mults(rng, z, top=3):
 
 def bits(a):
     return np.asarray(a).tobytes()
+
+
+# ---------------------------------------------------------------- cluster_dnc
+
+
+def assert_dnc_parity(roots, sigma):
+    out, ref = cluster_dnc(roots, sigma), oracle_dnc(roots, sigma)
+    assert out == ref
+    assert repr(out) == repr(ref)  # signed zeros and multiplicity order too
+    return out
+
+
+class TestDnC:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lists(self, seed, complex_):
+        rng = np.random.default_rng([7, seed])
+        for _ in range(40):
+            roots = with_mults(rng, cloud(rng, int(rng.integers(0, 60)), complex_))
+            sigma = float(rng.choice([0.0, 1e-3, 0.05, 0.3, 5.0]))
+            assert_dnc_parity(roots, sigma)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_and_signed_zeros(self, seed):
+        # non-dyadic duplicates, whose centroids round, and zeros that
+        # compare equal but print apart
+        pool = [0.1, 1 / 3, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+                0.1 + 0.1j, 1 / 3 - 0.1j, 0.2, 0.30000000000000004]
+        rng = np.random.default_rng([8, seed])
+        for _ in range(300):
+            picks = rng.integers(0, len(pool), int(rng.integers(1, 25)))
+            roots = RootList((pool[k], int(rng.integers(1, 4))) for k in picks)
+            sigma = float(rng.choice([0.0, 0.05, 0.1, 0.25, math.inf]))
+            assert_dnc_parity(roots, sigma)
+
+    def test_sigma_zero_and_infinite(self):
+        rng = np.random.default_rng(9)
+        roots = with_mults(rng, np.round(cloud(rng, 80) * 4) / 4)
+        assert len(assert_dnc_parity(roots, 0.0)) < len(roots)
+        assert len(assert_dnc_parity(roots, math.inf)) < 10
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e6, -3e12])
+    def test_distances_exactly_at_sigma(self, offset):
+        rng = np.random.default_rng(10)
+        z = offset + cloud(rng, 60, scale=1e-2 * (1 + abs(offset)) ** 0.5)
+        roots = with_mults(rng, z)
+        for i, j in rng.integers(0, 60, (10, 2)):
+            assert_dnc_parity(roots, abs(roots.entries[i][0] - roots.entries[j][0]))
+
+    def test_rounded_difference_at_sigma(self):
+        # (1 + 2**-52) - 2**-53 rounds to 1.0 = sigma, though the second
+        # root lies past 2**-53 + sigma: the windows must be wider than sigma
+        pair = [(2.0**-53, 1), (1 + 2.0**-52, 1)]
+        for roots in (RootList(pair), RootList(pair + [(-5.0, 1)])):
+            assert [m for _, m in assert_dnc_parity(roots, 1.0)][-1] == 2
+
+    def test_chain(self):
+        out = assert_dnc_parity(RootList([(1.0, 1), (1.5, 1), (2.0, 1)]), 0.5)
+        assert out.entries == ((1.25 + 0j, 2), (2.0 + 0j, 1))
+
+    def test_2048_root_cloud_with_planted_triples(self):
+        # one root per cell of a 96 x 96 grid, and 64 triples of radius 1e-4
+        rng = np.random.default_rng(11)
+        cells = rng.choice(96 * 96, size=2048 - 2 * 64, replace=False)
+        z = (cells % 96 + 1j * (cells // 96) + 0.5) / 96
+        centers, z = z[:64], z[64:]
+        angles = rng.uniform(0, 2 * np.pi, (64, 1)) + 2 * np.pi * np.arange(3) / 3
+        triples = centers[:, None] + 1e-4 * np.exp(1j * angles)
+        roots = RootList((complex(r), 1) for r in np.concatenate([z, triples.ravel()]))
+        out = assert_dnc_parity(roots, 3e-4)
+        assert sorted(m for _, m in out).count(3) == 64
+
+    def test_dense_cloud_every_root_partnered(self):
+        rng = np.random.default_rng(12)
+        z = cloud(rng, 256)
+        roots = with_mults(rng, np.concatenate([z, z + 0.01 * cloud(rng, 256)]))
+        for sigma in (0.03, 0.2, 1.0):
+            assert_dnc_parity(roots, sigma)
+
+    def test_1024_roots_on_one_real_part(self):
+        rng = np.random.default_rng(13)
+        ims = np.arange(1000) * 0.01 + rng.uniform(0, 1e-3, 1000)
+        ims = np.concatenate([ims, ims[::42] + 2e-3])  # 24 close pairs
+        roots = RootList((complex(0.25, y), 1) for y in ims)
+        out = assert_dnc_parity(roots, 5e-3)
+        assert len(out) == 1000
+
+    def test_centroid_landing_on_a_root_past_the_window(self, monkeypatch):
+        # the top strip merges 0.5 and 0.52; a merge step that puts the
+        # centroid on the root 1.0 must leave it after that root, as the
+        # stable sort of "rest + merged strip" does
+        merge = cluster_mod._merge_strip
+
+        def onto_one(points, sigma):
+            return [(1.0 + 0j, m) if m > 1 else (r, m) for r, m in merge(points, sigma)]
+
+        monkeypatch.setattr(cluster_mod, "_merge_strip", onto_one)
+        roots = RootList([(0.0, 1), (0.5, 1), (0.52, 1), (1.0, 1)])
+        out = assert_dnc_parity(roots, 0.05)
+        assert out.entries == ((0j, 1), (1 + 0j, 1), (1 + 0j, 2))
+
+    def test_centroids_that_leave_the_window(self, monkeypatch):
+        # a merge step that moves each centroid 3 sigma along the real axis,
+        # left or right by a bit of its imaginary part, past either end of
+        # the strip's window: the pruned recursion re-sorts and still matches
+        merge = cluster_mod._merge_strip
+
+        def drifting(points, sigma):
+            out = merge(points, sigma)
+            if len(out) == len(points):
+                return out
+            step = [(-3, 3)[int(abs(r.imag) * 1e6) % 2] * sigma for r, _ in out]
+            return [(r + d, m) if m > 1 else (r, m) for (r, m), d in zip(out, step)]
+
+        monkeypatch.setattr(cluster_mod, "_merge_strip", drifting)
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            roots = with_mults(rng, cloud(rng, 40), top=1)
+            assert_dnc_parity(roots, float(rng.choice([0.05, 0.2])))
 
 
 # ---------------------------------------------------------------- build_graph
