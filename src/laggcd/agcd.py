@@ -21,13 +21,8 @@ from .errors import (
 )
 from .lagpoly import LagrangePoly, RootList, from_roots
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
-from .metric import RHO_SUM, root_pseudometric
+from .metric import RHO_SUM, check_rho, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
-
-# Relative tolerance, to the largest spread the chosen nodes can have, used
-# when deduplicating candidate sample nodes for the materialized GCD; kept
-# above the near-duplicate warning threshold so the chosen nodes never warn.
-NODE_DEDUP_RTOL = 1e-7
 
 
 @dataclass
@@ -41,6 +36,12 @@ class AgcdResult:
     building one (such as values that overflow) is raised at that read;
     p_tilde_poly and q_tilde_poly reuse P's and Q's checked nodes. The
     warnings come in approximate_gcd's order, the inputs' node notes first.
+
+    gcd_poly lives on gcd_degree + 1 Chebyshev points of the real interval
+    P's and Q's nodes span, widened to length 1 if narrower. It is accurate
+    relative to its size on that interval, not at each point: it is not
+    exactly zero at its roots, and loses relative accuracy next to a tight
+    cluster of them, where it is tiny.
     """
 
     gcd_roots: RootList
@@ -139,41 +140,14 @@ def certify_distance(
 
 
 def _gcd_sample_nodes(gcd: RootList, p: LagrangePoly, q: LagrangePoly) -> np.ndarray:
-    """Distinct nodes to carry the materialized GCD: the cluster centers
-    plus 0, padded with Chebyshev points of the combined node hull."""
-    needed = gcd.total_multiplicity() + 1
+    """gcd_degree + 1 first-kind Chebyshev points, ascending, of the real
+    interval P's and Q's nodes span, widened to length 1 if narrower."""
+    n = gcd.total_multiplicity() + 1
     reals = np.concatenate([p.nodes.real, q.nodes.real])
     lo, hi = float(reals.min()), float(reals.max())
-    mid = 0.5 * (lo + hi)
-    if hi - lo < 1.0:
-        lo, hi = mid - 0.5, mid + 0.5
-    # all chosen nodes lie within reach of mid; a hull too narrow to hold
-    # `needed` nodes tol apart is widened (within reach: needed < 2.5e6)
-    reach = max([0.5, 0.5 * (hi - lo), abs(mid)] + [abs(r - mid) for r, _ in gcd])
-    tol = NODE_DEDUP_RTOL * 2 * reach
-    if hi - lo < 4 * needed * tol:
-        lo, hi = mid - 2 * needed * tol, mid + 2 * needed * tol
-
-    chosen: List[complex] = []
-
-    def push(z: complex) -> None:
-        if all(abs(z - c) > tol for c in chosen):
-            chosen.append(z)
-
-    for r, _ in gcd:
-        push(complex(r))
-    push(0.0)
-    k = 2 * needed + 2
-    while len(chosen) < needed:
-        cheb = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(
-            (2 * np.arange(1, k + 1) - 1) * np.pi / (2 * k)
-        )
-        for c in cheb:
-            if len(chosen) >= needed:
-                break
-            push(complex(c))
-        k = 2 * k + 1  # denser grid if collisions exhausted this one
-    return np.array(sorted(chosen[:needed], key=lambda z: (z.real, z.imag)))
+    mid, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), 0.5)
+    # sin of symmetric angles: exactly symmetric points, mid itself for odd n
+    return mid + half * np.sin(np.pi * (2 * np.arange(n) - n + 1) / (2 * n))
 
 
 def approximate_gcd(
@@ -199,6 +173,7 @@ def approximate_gcd(
             raise ZeroPolynomialError("%s is identically zero; GCD undefined" % name)
     if matcher not in ("greedy", "exact"):
         raise InvalidParameterError("matcher must be 'greedy' or 'exact'")
+    check_rho(rho)
 
     p_report = find_roots(p)
     q_report = find_roots(q)

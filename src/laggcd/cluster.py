@@ -63,7 +63,9 @@ class ClusterParams:
         except ValueError as exc:  # "'x' is not a valid Strategy"
             raise InvalidParameterError(str(exc)) from None
         check_sigma(self.sigma)
-        try:  # an integer, as RootList reads multiplicities
+        try:  # an integer and no bool, as RootList reads multiplicities
+            if isinstance(self.max_multiplicity, bool):
+                raise TypeError
             self.max_multiplicity = operator.index(self.max_multiplicity)
         except TypeError:
             raise InvalidParameterError(

@@ -159,7 +159,7 @@ class RootList:
     (real part, imaginary part), so that all downstream output is
     deterministic. A root that is not a number (a string included), a NaN
     or infinite part, or a multiplicity that is not an integer of at least
-    1, raises InvalidParameterError.
+    1 (a bool included), raises InvalidParameterError.
     """
 
     __slots__ = ("entries",)
@@ -167,8 +167,10 @@ class RootList:
     def __init__(self, entries: Iterable[Tuple[complex, int]] = ()):
         norm = []
         for root, mult in entries:
-            try:  # a string is no number, though complex() would parse "1"
-                if isinstance(root, (str, bytes)):
+            # a string is no number, though complex() would parse "1", and
+            # a bool is no multiplicity, though operator.index(True) is 1
+            try:
+                if isinstance(root, (str, bytes)) or isinstance(mult, bool):
                     raise TypeError
                 root, mult = complex(root), operator.index(mult)
             except (TypeError, ValueError):

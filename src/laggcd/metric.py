@@ -104,6 +104,12 @@ def _unshared(both: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return left[:n].nonzero()[0], left[n:].nonzero()[0]
 
 
+def check_rho(rho) -> None:
+    """Raise InvalidParameterError unless rho is "sum" or "max"."""
+    if rho not in (RHO_SUM, RHO_MAX):
+        raise InvalidParameterError("rho must be 'sum' or 'max', got %r" % (rho,))
+
+
 def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     """Distance between two equal-length root vectors.
 
@@ -113,8 +119,7 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     Raises InvalidParameterError for an unknown rho, a root vector that is
     not a 1-d sequence of numbers, or a non-finite coordinate.
     """
-    if rho not in (RHO_SUM, RHO_MAX):
-        raise InvalidParameterError("rho must be 'sum' or 'max', got %r" % (rho,))
+    check_rho(rho)
     fv, gv = _coords(f), _coords(g)
     n = len(fv)
     if n != len(gv):

@@ -12,6 +12,7 @@ from laggcd import rootfind as rootfind_module
 from laggcd import (
     ClusterParams,
     DegenerateInputError,
+    InvalidParameterError,
     LagrangePoly,
     NearDuplicateNodesWarning,
     RootList,
@@ -111,7 +112,7 @@ class TestApproximateGcd:
         assert res.gcd_degree == 0
         assert res.matching.total_weight == 0
         assert res.gcd_poly.degree == 0
-        assert res.gcd_poly.nodes.tobytes() == np.array([0j]).tobytes()
+        assert res.gcd_poly.nodes.tobytes() == np.array([5 + 0j]).tobytes()
         assert res.gcd_poly.values.tobytes() == np.array([1 + 0j]).tobytes()
         assert evaluate(res.gcd_poly, 123.0) == pytest.approx(1.0)
         # tilde polynomials keep each side's own clustered roots
@@ -211,16 +212,16 @@ class TestApproximateGcd:
         assert not hasattr(res, "p") and not hasattr(res, "q")
 
     def test_gcd_nodes_span_at_least_one(self):
-        # P's and Q's nodes span [0, 0.3]; the GCD's extra sample node is
-        # a Chebyshev point of the unit interval around their midpoint
+        # P's and Q's nodes span [0, 0.3]; the GCD's sample nodes are the
+        # Chebyshev points of the unit interval around their midpoint
         x = np.linspace(0.0, 0.3, 4)
         p = from_roots(RootList([(0.1, 2), (0.2, 1)]), x)
         q = from_roots(RootList([(0.1, 2), (0.25, 1)]), x)
         res = approximate_gcd(p, q, ClusterParams(sigma=1e-3))
         assert [m for _, m in res.gcd_roots] == [2]
         nodes = res.gcd_poly.nodes
-        assert len(nodes) == 3 and nodes[0] == 0.0
-        assert nodes[-1].real == pytest.approx(0.15 + 0.5 * np.cos(np.pi / 16))
+        want = 0.15 + 0.5 * np.sin(np.array([-1, 0, 1]) * np.pi / 3)
+        assert len(nodes) == 3 and nodes == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_certificate_warning_path(self, rng):
         # a cluster sigma above sigma merges P's roots 0 and 0.3 into a
@@ -405,6 +406,39 @@ def test_gcd_sample_nodes_clear_of_a_far_zero():
         nodes = agcd_module._gcd_sample_nodes(gcd, p, q)
         assert from_roots(gcd, nodes).note is None
     assert len(nodes) == 9
+
+
+def test_gcd_poly_accurate_across_the_node_interval():
+    # six GCD roots 0.001 apart inside P's and Q's interval [0, 10]:
+    # nodes on the roots would extrapolate gcd_poly from a tight cluster
+    gcd = RootList((3.0 + 0.001 * k, 1) for k in range(6))
+    x = np.linspace(0.0, 10.0, 9)
+    p, q = LagrangePoly(x, np.ones(9)), LagrangePoly(x[:8], np.ones(8))
+    nodes = agcd_module._gcd_sample_nodes(gcd, p, q)
+    z = np.linspace(0.0, 10.0, 7) + 0.1j
+    want = np.prod(z[:, None] - gcd.expand()[None, :], axis=1)
+    got = from_roots(gcd, nodes)(z)
+    assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planted_pairs())
+def test_gcd_poly_matches_its_roots_on_the_input_nodes(pair):
+    p, q = pair
+    res = approximate_gcd(p, q, ClusterParams(sigma=SWAP_SIGMA))
+    z = np.concatenate([p.nodes, q.nodes])
+    want = np.prod(z[:, None] - res.gcd_roots.expand()[None, :], axis=1)
+    err = np.abs(res.gcd_poly(z) - want)
+    assert np.max(err) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_unknown_rho_fails_before_rootfinding(monkeypatch, ref_p, ref_q):
+    def no_rootfinding(poly):
+        raise AssertionError("rootfinding ran")
+
+    monkeypatch.setattr(agcd_module, "find_roots", no_rootfinding)
+    with pytest.raises(InvalidParameterError, match="rho must be"):
+        approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5), rho="bogus")
 
 
 def assert_same_rootlist(got, want):

@@ -55,6 +55,7 @@ OPTION_ERRORS = {
         sigma=1.0, max_multiplicity=np.float64(3.0)
     ),
     "params_max_mult_str": lambda: ClusterParams(sigma=1.0, max_multiplicity="3"),
+    "params_max_mult_bool": lambda: ClusterParams(sigma=0.1, max_multiplicity=True),
     "params_strategy": lambda: ClusterParams(sigma=1.0, strategy="bogus"),
     "dnc_sigma": lambda: cluster_dnc(RootList(), -1.0),
     "dnc_sigma_nan": lambda: cluster_dnc(RootList(), NAN),
@@ -103,6 +104,7 @@ OPTION_ERRORS = {
     "rootlist_mult_float": lambda: RootList([(0.0, 1.5)]),
     "rootlist_mult_str": lambda: RootList([(0.0, "2")]),
     "rootlist_mult_nan": lambda: RootList([(0.0, NAN)]),
+    "rootlist_mult_bool": lambda: RootList([(1.0, True)]),
     "rootlist_root_str": lambda: RootList([("1", 1)]),
     "rootlist_root_complex_str": lambda: RootList([("2+3j", 1)]),
     "rootlist_root_word": lambda: RootList([("x", 1)]),
