@@ -29,7 +29,6 @@ from .errors import (
     InvalidParameterError,
     LagGcdError,
     LengthMismatchError,
-    NearDuplicateNodesWarning,
     ProblemFileError,
     SizeGuardError,
     ZeroPolynomialError,
@@ -51,7 +50,6 @@ from .matching import (
 )
 from .metric import root_pseudometric
 from .rootfind import (
-    CompanionPencil,
     RootfindReport,
     build_pencil,
     pencil_determinant,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgcdResult",
     "ClusterParams",
-    "CompanionPencil",
     "DegenerateInputError",
     "DuplicateNodesError",
     "Edge",
@@ -75,7 +72,6 @@ __all__ = [
     "LengthMismatchError",
     "MatchGraph",
     "Matching",
-    "NearDuplicateNodesWarning",
     "ProblemFileError",
     "RootList",
     "RootfindReport",

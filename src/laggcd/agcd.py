@@ -201,15 +201,15 @@ def approximate_gcd(
 
     dist_p, cert_p = certify_distance(p_report.roots, p_tilde, sigma, rho=rho)
     dist_q, cert_q = certify_distance(q_report.roots, q_tilde, sigma, rho=rho)
-    warns = ["%s nodes: %s" % (n, x.note) for n, x in (("P", p), ("Q", q)) if x.note]
-    warns += [
+    notes = ["%s nodes: %s" % (n, x.note) for n, x in (("P", p), ("Q", q)) if x.note]
+    notes += [
         "distance certificate failed for %s: d=%.6g > sigma=%.6g" % (name, d, sigma)
         for name, ok, d in (("P", cert_p, dist_p), ("Q", cert_q, dist_q))
         if not ok
     ]
     for name, rep in (("P", p_report), ("Q", q_report)):
         if rep.backward_note:
-            warns.append("%s rootfinding: %s" % (name, rep.backward_note))
+            notes.append("%s rootfinding: %s" % (name, rep.backward_note))
 
     return AgcdResult(
         gcd_roots=gcd,
@@ -223,5 +223,5 @@ def approximate_gcd(
         cert_q=cert_q,
         p_report=p_report,
         q_report=q_report,
-        warnings=warns,
+        warnings=notes,
     )

@@ -8,7 +8,9 @@ Subcommands:
 Exit codes: 0 success (including certificate warnings); on a LagGcdError,
 one `error:` line and the error's `exit_code`: 3 for numerical failures,
 2 for bad input or options (as for the arguments argparse rejects) and
-for an output file that cannot be written.
+for an output file that cannot be written. `roots` and `agcd` first print
+each input polynomial's node note as one `warning: P nodes: ...` (or Q)
+line on stderr.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
+def _read_side(pf: ProblemFile, side: str) -> LagrangePoly:
+    """Side P or Q of pf as a LagrangePoly; its node note goes to stderr."""
+    x, y = (pf.px, pf.py) if side == "P" else (pf.qx, pf.qy)
+    poly = LagrangePoly(x, y)
+    if poly.note:
+        print("warning: %s nodes: %s" % (side, poly.note), file=sys.stderr)
+    return poly
+
+
 def _run_params(args, pf: Optional[ProblemFile] = None):
     """Base sigma and ClusterParams.
 
@@ -82,10 +93,7 @@ def _run_params(args, pf: Optional[ProblemFile] = None):
 
 def cmd_roots(args) -> int:
     pf = load_problem(args.file)
-    if args.side == "P":
-        poly = LagrangePoly(pf.px, pf.py)
-    else:
-        poly = LagrangePoly(pf.qx, pf.qy)
+    poly = _read_side(pf, args.side)
     report = find_roots(poly)
     payload = {
         "side": args.side,
@@ -165,7 +173,7 @@ def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
     sigma, params = _run_params(args, pf)
     rho = args.rho or pf.rho or "sum"
-    p, q = LagrangePoly(pf.px, pf.py), LagrangePoly(pf.qx, pf.qy)
+    p, q = _read_side(pf, "P"), _read_side(pf, "Q")
     settings = {
         "sigma": sigma,
         "sigmas": {"cluster": params.sigma, "edge": sigma, "cert": sigma},
@@ -239,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file")
         sp.add_argument("--sigma", type=_number(float, 0), required=sp is p_cluster)
         sp.add_argument("--strategy", choices=["dnc", "heuristic"])
-        sp.add_argument("--max-mult", dest="max_multiplicity", type=_number(int, 1))
+        sp.add_argument(
+            "--max-mult", dest="max_multiplicity", type=_number(int, 1),
+            help="largest cluster size; only the heuristic strategy reads it",
+        )
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=func)
     p_agcd.add_argument("--sigma-cluster", type=_number(float, 0))

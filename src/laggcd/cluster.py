@@ -53,6 +53,9 @@ class Strategy(str, Enum):
 
 @dataclass
 class ClusterParams:
+    """cluster()'s options. Only the heuristic reads max_multiplicity, the
+    largest cluster it forms; cluster_dnc takes sigma alone."""
+
     sigma: float
     max_multiplicity: int = 3
     strategy: Strategy = Strategy.DNC
@@ -323,7 +326,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
             score = _score_candidate(points, cand, m, radius_cap)
             if score is not None:
                 scored.append(score)
-        scored.sort(key=lambda s: (s[0], s[1], s[2], s[3]))
+        scored.sort()
         for _, _, _, cand in scored:
             if all(i in active for i in cand):
                 accept(cand, m)

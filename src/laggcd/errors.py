@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and the one
-check of a tolerance."""
+"""Exception types shared across the package, and the one check of a
+tolerance. The package raises no Python warning: the note on nearly
+coincident nodes is LagrangePoly.note, reported first in AgcdResult.warnings."""
 
 import numbers
 
@@ -48,10 +49,6 @@ class SizeGuardError(LagGcdError):
 
 class ProblemFileError(LagGcdError):
     """A problem/points file could not be parsed or failed validation."""
-
-
-class NearDuplicateNodesWarning(UserWarning):
-    """Two nodes are close enough to threaten conditioning, but still distinct."""
 
 
 def check_sigma(sigma) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import operator
 import sys
-import warnings
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -20,10 +19,9 @@ from .errors import (
     DuplicateNodesError,
     InsufficientNodesError,
     InvalidParameterError,
-    NearDuplicateNodesWarning,
 )
 
-# Relative (to node spread) gap thresholds for rejecting/warning about
+# Relative (to node spread) gap thresholds for rejecting and for noting
 # nearly coincident nodes.
 DUPLICATE_GAP_RTOL = 1e-12
 NEAR_DUPLICATE_GAP_RTOL = 1e-8
@@ -35,16 +33,18 @@ def barycentric_weights(nodes) -> np.ndarray:
 
     A single node yields [1]. The node differences are formed once, both
     to check the gaps and to take the products: coincident nodes raise
-    DuplicateNodesError, dangerously small gaps warn. A NaN or infinite
-    node raises InvalidParameterError; a node difference that overflows, or
-    a weight whose product overflows or underflows (infinite, NaN or
-    exactly 0), raises DegenerateInputError.
+    DuplicateNodesError; nearly coincident ones are no error but give the
+    node note, which LagrangePoly keeps as `note`. A NaN or infinite node
+    raises InvalidParameterError; a node difference that overflows, or a
+    weight whose product overflows or underflows (infinite, NaN or exactly
+    0), raises DegenerateInputError.
     """
     return _weights(nodes)[0]
 
 
 def _weights(nodes) -> Tuple[np.ndarray, Optional[str]]:
-    """barycentric_weights, and the message of its warning (None if none)."""
+    """barycentric_weights, and the node note: the text on nearly
+    coincident nodes, or None."""
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
@@ -74,8 +74,6 @@ def _weights(nodes) -> Tuple[np.ndarray, Optional[str]]:
             "nearly coincident nodes (gap %.3e vs spread %.3e); "
             "expect poor conditioning" % (smallest, spread)
         )
-        # attributed to the caller of barycentric_weights or LagrangePoly
-        warnings.warn(note, NearDuplicateNodesWarning, stacklevel=3)
     bad = np.count_nonzero(~np.isfinite(weights) | (weights == 0))
     if bad:
         raise DegenerateInputError(
@@ -90,10 +88,11 @@ class LagrangePoly:
 
     The nominal degree is len(nodes) - 1. Instances are immutable; the
     barycentric weights are computed on construction, which also checks
-    the nodes; `note` is their NearDuplicateNodesWarning's message or None.
+    the nodes; `note` is the node note, the text on nearly coincident
+    nodes, or None, and approximate_gcd reports it first in its warnings.
     A LagrangePoly given as nodes lends its nodes, weights and note, which
-    are neither checked nor warned about again. A NaN or infinite value
-    raises InvalidParameterError.
+    are not checked again. A NaN or infinite value raises
+    InvalidParameterError.
     """
 
     def __init__(self, nodes, values):

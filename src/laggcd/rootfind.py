@@ -31,18 +31,7 @@ SPURIOUS_BETA_RTOL = 1e-10
 # artifacts of sampled data whose actual degree is below nominal.
 FAR_ROOT_FACTOR = 1e6
 
-
-@dataclass
-class CompanionPencil:
-    """Dense pencil (c0, c1) for a polynomial of nominal degree source_degree."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-    source_degree: int
-
-    @property
-    def dim(self) -> int:
-        return self.c0.shape[0]
+Pencil = Tuple[np.ndarray, np.ndarray]  # (c0, c1)
 
 
 @dataclass
@@ -62,9 +51,10 @@ class RootfindReport:
         return np.abs(evaluate(self.poly, self.roots))
 
 
-def build_pencil(p: LagrangePoly) -> CompanionPencil:
-    """Arrowhead pencil: c0 holds -values in row 0, weights in column 0 and
-    the nodes on the trailing diagonal; c1 is the identity with (0,0) zeroed."""
+def build_pencil(p: LagrangePoly) -> Pencil:
+    """Arrowhead pencil (c0, c1), of size degree + 2: c0 holds -values in
+    row 0, weights in column 0 and the nodes on the trailing diagonal; c1
+    is the identity with (0,0) zeroed."""
     n = p.degree
     if n < 1:
         raise InvalidParameterError("pencil requires nominal degree >= 1")
@@ -76,12 +66,14 @@ def build_pencil(p: LagrangePoly) -> CompanionPencil:
     c0[idx, idx] = p.nodes
     c1 = np.eye(dim, dtype=complex)
     c1[0, 0] = 0.0
-    return CompanionPencil(c0=c0, c1=c1, source_degree=n)
+    return c0, c1
 
 
-def pencil_determinant(pencil: CompanionPencil, z: complex) -> complex:
-    """det(z*C1 - C0) by LU; equals the sampled polynomial at z."""
-    return complex(np.linalg.det(z * pencil.c1 - pencil.c0))
+def pencil_determinant(pencil: Pencil, z: complex) -> complex:
+    """det(z*C1 - C0) of the pencil (c0, c1) by LU; equals the sampled
+    polynomial at z."""
+    c0, c1 = pencil
+    return complex(np.linalg.det(z * c1 - c0))
 
 
 def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
@@ -93,8 +85,7 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
     then leaves the solve bit-identical. A pencil without imaginary part
     is solved in real arithmetic.
     """
-    pencil = build_pencil(p)
-    c0, c1 = pencil.c0, pencil.c1
+    c0, c1 = build_pencil(p)
     c0[0] /= np.abs(p.values).max()
     c0[:, 0] /= np.abs(p.weights).max()
     if not c0.imag.any():

@@ -3,12 +3,12 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from laggcd import LagrangePoly, RootList, cluster_dnc, from_roots, roots
-from laggcd import NearDuplicateNodesWarning
 from laggcd.cli import main
 from conftest import PX, PY, QX, QY
 
@@ -452,17 +452,41 @@ class TestWriteErrors:
 
 
 class TestInputWarnings:
-    def test_agcd_near_duplicate_nodes_warn(self, capsys, tmp_path):
+    NOTE = (
+        "nearly coincident nodes (gap 1.000e-09 vs spread 2.000e+00); "
+        "expect poor conditioning"
+    )
+
+    def near_problem(self, tmp_path, qx=(0.0, 1.0, 3.0)):
         nodes = [0.0, 1.0, 2.0, 2.0 + 1e-9]
-        path = write_json(
+        return write_json(
             tmp_path, "near.json",
             {"px": nodes, "py": [(x - 1) * (x - 3) * (x + 1) for x in nodes],
-             "qx": [0.0, 1.0, 3.0], "qy": [1.0, 0.0, 4.0], "sigma": 1e-3},
+             "qx": list(qx), "qy": [1.0, 0.0, 4.0], "sigma": 1e-3},
         )
-        with pytest.warns(NearDuplicateNodesWarning) as caught:
-            code, out, _ = run(capsys, ["agcd", path])
+
+    def test_agcd_near_duplicate_nodes_warn(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["agcd", self.near_problem(tmp_path)])
         assert code == 0
-        assert len(caught) == 1
+        assert err.splitlines() == ["warning: P nodes: " + self.NOTE]
         notes = json.loads(out)["warnings"]
-        assert notes[0] == "P nodes: %s" % caught[0].message
+        assert notes[0] == "P nodes: " + self.NOTE
         assert not any(note.startswith("Q nodes") for note in notes)
+
+    @pytest.mark.parametrize("side", ["P", "Q"])
+    def test_roots_notes_the_side_it_reads(self, capsys, tmp_path, side):
+        argv = ["roots", self.near_problem(tmp_path), "--side", side]
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        want = ["warning: P nodes: " + self.NOTE] if side == "P" else []
+        assert err.splitlines() == want
+
+    def test_note_precedes_the_error(self, capsys, tmp_path):
+        path = self.near_problem(tmp_path, qx=(0.0, 1.0, 1.0))
+        code, out, err = run(capsys, ["agcd", path])
+        assert code == 2 and out == ""
+        first, second = err.splitlines()
+        assert first == "warning: P nodes: " + self.NOTE
+        assert second.startswith("error: nodes must be pairwise distinct")

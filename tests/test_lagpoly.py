@@ -11,13 +11,18 @@ from laggcd import (
     InsufficientNodesError,
     InvalidParameterError,
     LagrangePoly,
-    NearDuplicateNodesWarning,
     RootList,
     barycentric_weights,
     evaluate,
     from_roots,
 )
 from conftest import PX, PY
+
+NEAR_NODES = [0.0, 1e-10, 1.0]
+NEAR_NOTE = (
+    "nearly coincident nodes (gap 1.000e-10 vs spread 1.000e+00); "
+    "expect poor conditioning"
+)
 
 
 def product_weights(nodes):
@@ -67,9 +72,13 @@ class TestBarycentricWeights:
         with pytest.raises(DuplicateNodesError):
             barycentric_weights([1.0, 2.0, 1.0])
 
-    def test_near_duplicate_warns(self):
-        with pytest.warns(NearDuplicateNodesWarning):
-            barycentric_weights([0.0, 1e-10, 1.0])
+    def test_near_duplicate_is_noted_not_warned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = barycentric_weights(NEAR_NODES)
+            p = LagrangePoly(NEAR_NODES, [1.0, 2.0, 3.0])
+        assert np.array_equal(w, p.weights)
+        assert p.note == NEAR_NOTE
 
     OVERFLOWING_NODES = {
         "chebyshev_1025": np.cos(np.pi * np.arange(1025) / 1024),
@@ -115,42 +124,40 @@ class TestLagrangePolyWeights:
         with pytest.raises(ValueError):
             p.weights[0] = 0.0
 
-    def test_near_duplicate_warns_once_per_construction(self):
-        nodes = [0.0, 1e-10, 1.0]
+    def test_near_duplicate_noted_on_every_construction(self):
         builds = (
-            lambda: LagrangePoly(nodes, [1.0, 2.0, 3.0]),
-            lambda: from_roots(RootList([(0.5, 1)]), nodes),
+            lambda: LagrangePoly(NEAR_NODES, [1.0, 2.0, 3.0]),
+            lambda: from_roots(RootList([(0.5, 1)]), NEAR_NODES),
         )
         for build in builds:
             for _ in range(2):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    evaluate(build(), 0.5)  # uses the stored weights
-                assert [w.category for w in caught] == [NearDuplicateNodesWarning]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    p = build()
+                    evaluate(p, 0.5)  # uses the stored weights
+                assert p.note == NEAR_NOTE
 
     def test_note_keeps_the_warning_message(self):
-        with pytest.warns(NearDuplicateNodesWarning) as caught:
-            p = LagrangePoly([0.0, 1e-10, 1.0], [1.0, 2.0, 3.0])
-        assert p.note == str(caught[0].message)
+        p = LagrangePoly(NEAR_NODES, [1.0, 2.0, 3.0])
+        assert p.note == NEAR_NOTE
         assert LagrangePoly(PX, PY).note is None
         with pytest.raises(AttributeError):
             p.note = None
 
     def test_resampling_on_a_poly_shares_its_checked_nodes(self):
-        with pytest.warns(NearDuplicateNodesWarning):
-            base = LagrangePoly([0.0, 1e-10, 1.0], [1.0, 2.0, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            base = LagrangePoly(NEAR_NODES, [1.0, 2.0, 3.0])
             resampled = (
                 LagrangePoly(base, [4.0, 5.0, 6.0]),
                 from_roots(RootList([(0.5, 1)]), base),
             )
-        with pytest.warns(NearDuplicateNodesWarning):  # nodes given again
             want = from_roots(RootList([(0.5, 1)]), np.array(base.nodes))
         assert resampled[1].values.tobytes() == want.values.tobytes()
+        assert want.note == base.note == NEAR_NOTE  # nodes given again
         for poly in resampled:
             assert poly.nodes is base.nodes and poly.weights is base.weights
-            assert poly.note == base.note
+            assert poly.note is base.note
             assert not poly.values.flags.writeable
 
     def test_resampling_checks_values_against_the_nodes(self):
@@ -234,6 +241,15 @@ class TestRootList:
         rl = RootList()
         assert rl.total_multiplicity() == 0
         assert len(rl.expand()) == 0
+
+    def test_hash_follows_equality(self):
+        a = RootList([(2.0, 1), (1.0 + 1j, 2), (1.0 - 1j, 3)])
+        b = RootList([(1.0 - 1j, 3), (2.0, 1), (1.0 + 1j, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        c = RootList([(2.0, 2), (1.0 + 1j, 2), (1.0 - 1j, 3)])
+        assert c != a and hash(c) != hash(a)
+        assert len({a, c}) == 2
 
 
 class TestFromRoots:
