@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -44,6 +45,58 @@ def _poly_json(p: LagrangePoly):
         "nodes": [_cnum(z) for z in p.nodes],
         "values": [_cnum(z) for z in p.values],
     }
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without the stdlib's
+    pure-Python indent encoder (the C encoder writes compact JSON only).
+
+    Lists, tuples and dicts are walked here; a plain int or finite float
+    is its repr, which is json's text for it; keys and every other scalar
+    (strings, None, bools, NaN/Infinity, float subclasses) go through
+    json.dumps, and so does the whole of a dict with a non-string key.
+    """
+    parts = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(obj, pad: str, write) -> None:
+    """Write obj as json.dumps(obj, indent=2) does at the indentation of
+    pad, a newline plus the spaces of the enclosing lines."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = pad + "  "
+        if len(obj) == 2:  # an [re, im] pair in one format
+            a, b = obj
+            if type(a) is float and type(b) is float and a - a == 0 and b - b == 0:
+                write("[%s%r,%s%r%s]" % (inner, a, inner, b, pad))
+                return
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write(item, inner, write)
+            sep = "," + inner
+        write(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+        elif not all(type(key) is str for key in obj):  # json converts these keys
+            write(json.dumps(obj, indent=2).replace("\n", pad))
+        else:
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in obj.items():
+                write(sep + json.dumps(key) + ": ")
+                _write(item, inner, write)
+                sep = "," + inner
+            write(pad + "}")
+    elif type(obj) is int or type(obj) is float and obj - obj == 0:
+        write(repr(obj))
+    else:
+        write(json.dumps(obj))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -104,7 +157,7 @@ def cmd_roots(args) -> int:
         "discarded": report.discarded_count,
         "note": report.backward_note,
     }
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_dumps(payload), args.output)
     return 0
 
 
@@ -184,7 +237,7 @@ def cmd_agcd(args) -> int:
     result = approximate_gcd(p, q, params, matcher=args.matcher, rho=rho, sigma=sigma)
     if args.graph_csv:
         _emit(_graph_csv(result), args.graph_csv)
-    _emit(json.dumps(_agcd_json(result, settings), indent=2), args.output)
+    _emit(_dumps(_agcd_json(result, settings)), args.output)
     return 0
 
 
@@ -228,7 +281,11 @@ def _number(convert, least=None):
     return number
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The laggcd parser, built once per process and shared by every call
+    (so no caller may change it): parse_args returns a fresh Namespace on
+    each call and the type checks hold no state."""
     parser = argparse.ArgumentParser(
         prog="laggcd",
         description="Approximate polynomial GCD for node/value (Lagrange) data.",
@@ -262,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LagGcdError as exc:

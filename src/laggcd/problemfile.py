@@ -122,13 +122,20 @@ def parse_problem(data: dict) -> ProblemFile:
 
 
 def _read_json(path: str):
+    """The JSON document in the UTF-8 file at path; a file that cannot be
+    read, decoded or parsed (also one nested past the recursion limit) is
+    a ProblemFileError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ProblemFileError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError("%s is not UTF-8: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError("invalid JSON in %s: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise ProblemFileError("JSON in %s is nested too deeply" % path) from exc
 
 
 def load_problem(path: str) -> ProblemFile:

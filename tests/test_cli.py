@@ -7,8 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laggcd import LagrangePoly, RootList, cluster_dnc, from_roots, roots
+from laggcd import cli
 from laggcd.cli import main
 from conftest import PX, PY, QX, QY
 
@@ -330,6 +333,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.strip().splitlines() == ["error: problem file must be a JSON object"]
 
+    UNREADABLE = {
+        "not_utf8": b"\xff\xfe\x00garbage",
+        "nested_too_deeply": b"[" * 100_000,
+    }
+
+    @pytest.mark.parametrize("command", ["agcd", "roots", "cluster"])
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+    def test_unreadable_json_is_input_error(self, capsys, tmp_path, content, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = [command, str(path)] + (["--sigma", "1"] if command == "cluster" else [])
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+
     def test_bad_points_shape(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", {"points": []})
         assert run(capsys, ["cluster", str(path), "--sigma", "1.0"])[0] == 2
@@ -425,6 +445,97 @@ class TestExitCodes:
         removed = ("--fixpoint", "--fuzz", "--sigma-edge", "--sigma-cert")
         flag = next(a for a in argv if a in removed)
         assert "error: unrecognized arguments: " + flag in captured.err
+
+
+# JSON trees as the CLI payloads hold them, and the values json writes
+# specially: tuples, float subclasses, -0.0, NaN/Infinity, bools, None,
+# big ints, non-ASCII text and empty containers
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.floats()
+    | st.floats().map(np.float64) | st.text()
+)
+JSON_PAIRS = st.tuples(st.floats(), st.floats())  # an [re, im] pair
+JSON_TREES = st.recursive(
+    JSON_SCALARS | JSON_PAIRS | JSON_PAIRS.map(list),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text() | st.integers(-3, 3), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """cli._dumps writes what json.dumps(obj, indent=2) writes."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(JSON_TREES)
+    @example((1.0, 2.0))
+    @example([-0.0, float("nan")])
+    @example({"z": [float("inf"), -float("inf")], "e": [], "t": (), "d": {}})
+    @example([np.float64(0.1), np.float64(-0.0)])
+    @example({"σ": "∞ \u2028 \x00 \"q\"", "n": None, "b": [True, False]})
+    @example([2**200, -(2**64), 0, (1.5,), [[1.0, 2.0, 3.0]]])
+    @example({1: "int key", 2.5: "float key", None: "null key", True: "bool key"})
+    def test_matches_stdlib_indent_2(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_real_payloads(self, capsys, problem_file, tmp_path, monkeypatch):
+        seen = []
+        dumps = cli._dumps
+
+        def spy(obj):
+            seen.append((obj, dumps(obj)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "_dumps", spy)
+        for argv in (
+            ["agcd", problem_file, "--graph-csv", str(tmp_path / "graph.csv")],
+            ["roots", problem_file, "--side", "P"],
+            ["roots", problem_file, "--side", "Q"],
+        ):
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out == seen[-1][1] + "\n"
+        assert len(seen) == 3
+        for obj, text in seen:
+            assert text == json.dumps(obj, indent=2)
+            assert text.isascii()
+
+
+class TestSharedParser:
+    """main builds its parser once and may be called repeatedly."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak_between_calls(self, capsys, problem_file):
+        def settings_of(argv):
+            code, out, _ = run(capsys, ["agcd", problem_file, *argv])
+            assert code == 0
+            payload = json.loads(out)
+            return [payload[key] for key in ("matcher", "rho", "strategy", "sigma")]
+
+        flags = ["--matcher", "exact", "--rho", "max", "--strategy", "heuristic"]
+        assert settings_of(flags + ["--sigma", "0.3"]) == ["exact", "max", "heuristic", 0.3]
+        assert settings_of([]) == ["greedy", "sum", "dnc", 0.5]
+
+    def test_argparse_error_between_runs(self, capsys, problem_file):
+        assert run(capsys, ["agcd", problem_file])[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["agcd", problem_file, "--rho", "median"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'median'" in capsys.readouterr().err
+        assert run(capsys, ["agcd", problem_file])[0] == 0
+
+    def test_identical_calls_write_identical_bytes(self, capsys, problem_file, tmp_path):
+        written = []
+        for name in ("first.json", "second.json"):
+            dest = tmp_path / name
+            assert run(capsys, ["agcd", problem_file, "-o", str(dest)])[0] == 0
+            written.append(dest.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestWriteErrors:
