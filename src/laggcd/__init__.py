@@ -30,7 +30,6 @@ from .errors import (
     LagGcdError,
     LengthMismatchError,
     ProblemFileError,
-    SizeGuardError,
     ZeroPolynomialError,
 )
 from .lagpoly import (
@@ -75,7 +74,6 @@ __all__ = [
     "ProblemFileError",
     "RootList",
     "RootfindReport",
-    "SizeGuardError",
     "Strategy",
     "ZeroPolynomialError",
     "approximate_gcd",

@@ -174,6 +174,8 @@ def approximate_gcd(
     if matcher not in ("greedy", "exact"):
         raise InvalidParameterError("matcher must be 'greedy' or 'exact'")
     check_rho(rho)
+    if sigma is not None:
+        check_sigma(sigma)
 
     p_report = find_roots(p)
     q_report = find_roots(q)

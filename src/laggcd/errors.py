@@ -43,10 +43,6 @@ class LengthMismatchError(LagGcdError):
     """Root vectors of different lengths; the pseudometric is undefined."""
 
 
-class SizeGuardError(LagGcdError):
-    """Problem size exceeds the guard on an oracle-only code path."""
-
-
 class ProblemFileError(LagGcdError):
     """A problem/points file could not be parsed or failed validation."""
 

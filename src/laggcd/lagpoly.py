@@ -133,19 +133,28 @@ def evaluate(p: LagrangePoly, z):
     """Evaluate the interpolant at z: a scalar for a scalar, else an
     array of z's shape.
 
-    Uses the second barycentric form; if z coincides exactly with a node
-    the stored value is returned unchanged (no tolerance involved).
+    Uses the first (modified Lagrange) barycentric form
+    l(z) * sum_k w_k f_k / (z - x_k), with l(z) = prod_k (z - x_k), which
+    is backward stable at every z (Higham, IMA J. Numer. Anal. 24, 2004);
+    the second form's denominator cancels off the node interval. Each
+    factor of l(z) is scaled by an exact power of two, so that the product
+    cannot overflow or underflow on its way. If z coincides exactly with
+    a node the stored value is returned unchanged (no tolerance involved).
     """
     zarr = np.asarray(z, dtype=complex)
     zz = zarr.reshape(-1)
     diff = zz[:, None] - p.nodes[None, :]
     out = np.empty(len(zz), dtype=complex)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p.weights[None, :] / diff
-        num = (ratio * p.values[None, :]).sum(axis=1)
-        den = ratio.sum(axis=1)
-        out[:] = num / den
+    with np.errstate(all="ignore"):
+        exps = np.frexp(np.abs(diff))[1]
+        scaled = np.empty_like(diff)
+        scaled.real = np.ldexp(diff.real, -exps)
+        scaled.imag = np.ldexp(diff.imag, -exps)
+        total = scaled.prod(axis=1) * (p.weights * p.values / diff).sum(axis=1)
+        shift = exps.sum(axis=1)
+        out.real = np.ldexp(total.real, shift)
+        out.imag = np.ldexp(total.imag, shift)
     out[hit_rows] = p.values[hit_cols]
     return out[0] if zarr.ndim == 0 else out.reshape(zarr.shape)
 
@@ -250,13 +259,15 @@ def from_roots(
         raise InsufficientNodesError(
             "need at least %d nodes for degree %d, got %d" % (deg + 1, deg, len(x))
         )
-    factors = x[:, None] - roots.expand()[None, :]
-    order = np.argsort(np.abs(factors), axis=1, kind="stable")
-    factors = np.take_along_axis(factors, order, axis=1)
-    c = complex(leading_coeff)
-    vr, vi = np.full(len(x), c.real), np.full(len(x), c.imag)
-    for fr, fi in zip(factors.real.T, factors.imag.T):
-        vr, vi = vr * fr - vi * fi, vr * fi + vi * fr
+    # a product beyond the double range is inf or NaN, which LagrangePoly rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = x[:, None] - roots.expand()[None, :]
+        order = np.argsort(np.abs(factors), axis=1, kind="stable")
+        factors = np.take_along_axis(factors, order, axis=1)
+        c = complex(leading_coeff)
+        vr, vi = np.full(len(x), c.real), np.full(len(x), c.imag)
+        for fr, fi in zip(factors.real.T, factors.imag.T):
+            vr, vi = vr * fr - vi * fi, vr * fi + vi * fr
     values = np.empty(len(x), dtype=complex)
     values.real, values.imag = vr, vi
     return LagrangePoly(nodes if shared else x, values)

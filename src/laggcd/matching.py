@@ -2,8 +2,8 @@
 
 Edges connect roots within sigma of each other; an edge's weight is the
 smaller of its endpoints' multiplicities. The default solver is the
-descending-weight greedy scan (a 1/2-approximation); an exact assignment
-solver is provided as an oracle for tests and for small problems.
+descending-weight greedy scan (a 1/2-approximation); the exact solver is
+one dense assignment, far cheaper than the rootfinding before it.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import List, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidParameterError, SizeGuardError, check_sigma
+from .errors import InvalidParameterError, check_sigma
 from .lagpoly import RootList, real_slack
-
-EXACT_SIZE_GUARD = 10_000  # max |left| * |right| for the exact solver
 
 
 @dataclass(frozen=True)
@@ -39,15 +37,16 @@ class MatchGraph:
 @dataclass
 class Matching:
     edges: Tuple[Edge, ...]
-    total_weight: int
 
     def __post_init__(self):
         lefts = [e.left for e in self.edges]
         rights = [e.right for e in self.edges]
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
             raise InvalidParameterError("matching edges share a vertex")
-        if self.total_weight != sum(e.weight for e in self.edges):
-            raise InvalidParameterError("total_weight inconsistent with edges")
+
+    @property
+    def total_weight(self) -> int:
+        return sum(e.weight for e in self.edges)
 
 
 def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGraph:
@@ -91,24 +90,21 @@ def greedy_mwm(g: MatchGraph) -> Matching:
         chosen.append(e)
         used_l.add(e.left)
         used_r.add(e.right)
-    return Matching(tuple(chosen), sum(e.weight for e in chosen))
+    return Matching(tuple(chosen))
 
 
 def exact_mwm(g: MatchGraph) -> Matching:
-    """Maximum-weight matching via the assignment problem (oracle path).
+    """Maximum-weight matching via the assignment problem.
 
+    It allocates a dense |left| x |right| matrix at any size: through
+    approximate_gcd a side holds at most degree-many clusters, after a QZ.
     Missing pairs get weight zero in the assignment matrix; zero-weight
     assignments are dropped afterwards, which is exact because all real
     edge weights are positive.
     """
     nl, nr = len(g.left), len(g.right)
-    if nl * nr > EXACT_SIZE_GUARD:
-        raise SizeGuardError(
-            "exact solver guarded at %d vertex pairs, got %d"
-            % (EXACT_SIZE_GUARD, nl * nr)
-        )
     if not g.edges or nl == 0 or nr == 0:
-        return Matching((), 0)
+        return Matching(())
     weight = np.zeros((nl, nr))
     lookup = {}
     for e in g.edges:
@@ -118,4 +114,4 @@ def exact_mwm(g: MatchGraph) -> Matching:
     chosen = tuple(
         lookup[(i, j)] for i, j in zip(rows, cols) if (i, j) in lookup
     )
-    return Matching(chosen, sum(e.weight for e in chosen))
+    return Matching(chosen)

@@ -132,11 +132,16 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     # before any pairing: inf == inf, yet abs(inf - inf) is NaN
     if not np.isfinite(both).all():
         raise InvalidParameterError("root vectors must be finite")
-    if rho == RHO_MAX:
-        return _bottleneck(np.abs(fv[:, None] - gv[None, :])) / n
-    rows, cols = _unshared(both, n)
-    dist = np.abs(np.subtract.outer(fv[rows], gv[cols]))
-    r, c = linear_sum_assignment(dist)
-    per_row = np.zeros(n)
-    per_row[rows[r]] = dist[r, c]
-    return float(per_row.sum()) / n
+    # a difference or a sum beyond the double range is inf
+    with np.errstate(over="ignore"):
+        if rho == RHO_MAX:
+            return _bottleneck(np.abs(fv[:, None] - gv[None, :])) / n
+        rows, cols = _unshared(both, n)
+        dist = np.abs(np.subtract.outer(fv[rows], gv[cols]))
+        try:
+            r, c = linear_sum_assignment(dist)
+        except ValueError:  # every assignment has an infinite distance
+            return float("inf")
+        per_row = np.zeros(n)
+        per_row[rows[r]] = dist[r, c]
+        return float(per_row.sum()) / n

@@ -82,11 +82,17 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
 
     Row 0 is divided by max|f| and column 0 by max|w|, which scales the
     determinant by a constant only; a power-of-two factor on the values
-    then leaves the solve bit-identical. A pencil without imaginary part
+    then leaves the solve bit-identical. A subnormal max|f| is first
+    raised by 2**1000 with its row, as numpy's complex division takes
+    1 / max|f|, which would overflow. A pencil without imaginary part
     is solved in real arithmetic.
     """
     c0, c1 = build_pencil(p)
-    c0[0] /= np.abs(p.values).max()
+    top = np.abs(p.values).max()
+    if top < np.finfo(float).tiny:
+        c0[0] *= 2.0**1000
+        top *= 2.0**1000
+    c0[0] /= top
     c0[:, 0] /= np.abs(p.weights).max()
     if not c0.imag.any():
         c0, c1 = c0.real, c1.real

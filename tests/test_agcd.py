@@ -443,6 +443,16 @@ def test_unknown_rho_fails_before_rootfinding(monkeypatch, ref_p, ref_q):
         approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5), rho="bogus")
 
 
+@pytest.mark.parametrize("sigma", ["x", float("nan"), -1.0])
+def test_invalid_sigma_fails_before_rootfinding(monkeypatch, ref_p, ref_q, sigma):
+    def no_rootfinding(poly):
+        raise AssertionError("rootfinding ran")
+
+    monkeypatch.setattr(agcd_module, "find_roots", no_rootfinding)
+    with pytest.raises(InvalidParameterError, match="sigma must be"):
+        approximate_gcd(ref_p, ref_q, ClusterParams(sigma=0.5), sigma=sigma)
+
+
 def assert_same_rootlist(got, want):
     assert got.expand().tobytes() == want.expand().tobytes()
     assert [m for _, m in got] == [m for _, m in want]

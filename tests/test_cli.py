@@ -106,6 +106,24 @@ class TestAgcd:
         assert code == 0
         assert json.loads(out)["matching"]["total_weight"] == 6
 
+    def test_exact_matcher_at_degree_120(self, capsys, tmp_path):
+        # 120 x 120 clusters: one dense assignment, as greedy finds
+        x = np.cos((2 * np.arange(121) + 1) * np.pi / 242)
+        y = np.prod(x[:, None] - np.cos(np.arange(1, 121) * np.pi / 121), axis=1)
+        px, py = list(map(float, x)), list(map(float, y))
+        path = write_json(
+            tmp_path, "big.json", {"px": px, "py": py, "qx": px, "qy": py, "sigma": 1e-6}
+        )
+        payloads = {}
+        for matcher in ("greedy", "exact"):
+            code, out, err = run(capsys, ["agcd", path, "--matcher", matcher])
+            assert code == 0, err
+            payloads[matcher] = json.loads(out)
+            assert payloads[matcher].pop("matcher") == matcher
+        assert payloads["exact"] == payloads["greedy"]
+        assert payloads["exact"]["gcd"]["degree"] == 120
+        assert payloads["exact"]["cert_p"] and payloads["exact"]["cert_q"]
+
     def test_graph_csv_dump(self, capsys, problem_file, tmp_path):
         dest = tmp_path / "graph.csv"
         code, _, _ = run(capsys, ["agcd", problem_file, "--graph-csv", str(dest)])

@@ -92,9 +92,8 @@ OPTION_ERRORS = {
         LagrangePoly([0.0], [1.0]), _poly(), ClusterParams(sigma=0.1)
     ),
     "matching_shared_vertex": lambda: Matching(
-        (Edge(0, 0, 1, 0.0), Edge(0, 1, 1, 0.0)), 2
+        (Edge(0, 0, 1, 0.0), Edge(0, 1, 1, 0.0))
     ),
-    "matching_total": lambda: Matching((Edge(0, 0, 1, 0.0),), 2),
     "rootlist_nan": lambda: RootList([(NAN, 1)]),
     "rootlist_complex_nan": lambda: RootList([(0.0, 1), (complex(1.0, NAN), 1)]),
     "rootlist_inf": lambda: RootList([(INF, 1)]),

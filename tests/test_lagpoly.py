@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,23 @@ def newton_eval(xs, ys, z):
     for k in range(n - 2, -1, -1):
         acc = acc * (z - xs[k]) + coef[k]
     return acc
+
+
+# degree-10 interpolant of prod (z - r_j), r_j = linspace(-0.8, 0.8, 10), on
+# 11 first-kind Chebyshev nodes: a form that divides by sum_k w_k / (z - x_k)
+# loses all accuracy on it off [-1, 1] (relative error 1.0 at z = 100)
+LINSPACE_ROOTS = np.linspace(-0.8, 0.8, 10)
+
+
+def linspace_poly():
+    x = np.cos((2 * np.arange(11) + 1) * np.pi / 22)
+    return LagrangePoly(x, np.prod(x[:, None] - LINSPACE_ROOTS, axis=1))
+
+
+def linspace_product(z):
+    """Independent oracle: prod (z - r_j) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return complex(mpmath.fprod(mpmath.mpc(z) - mpmath.mpf(r) for r in LINSPACE_ROOTS))
 
 
 class TestBarycentricWeights:
@@ -202,6 +220,43 @@ class TestEvaluate:
             scale = np.maximum(1.0, np.abs(want))
             assert np.all(np.abs(got - want) / scale <= 1e-9)
 
+    @pytest.mark.parametrize("z", [2.0, 10.0, 100.0, 1e8, 3j])
+    def test_accurate_off_the_node_interval(self, z):
+        want = linspace_product(z)
+        assert abs(evaluate(linspace_poly(), z) - want) <= 1e-13 * abs(want)
+
+    def test_accurate_on_the_node_interval(self):
+        zs = np.linspace(-1.0, 1.0, 2001)
+        want = np.array([linspace_product(z) for z in zs])
+        err = np.abs(evaluate(linspace_poly(), zs) - want)
+        assert np.max(err) <= 1e-15 * np.max(np.abs(want))
+
+    def test_far_point_is_finite_within_the_backward_error(self):
+        # x + 1 on three nodes: at 1e17 the nodes round away from z - x_k,
+        # so only Higham's bound, eps * sum_k |l_k(z) f_k|, holds
+        p = LagrangePoly([0, 1, 2], [1, 2, 3])
+        z = 1e17
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(p, z)
+        cond = sum(abs(p.weights * p.values)) * z**2
+        assert np.isfinite(got)
+        assert abs(got - (z + 1)) <= 10 * np.finfo(float).eps * cond
+
+    def test_node_product_may_overflow_where_the_value_does_not(self):
+        # degree 40 with leading coefficient 1e-20 on nodes spread over
+        # 2e7: at 1e8, prod (z - x_k) is about 1e328 but p(z) about 1e300
+        k = np.arange(41)
+        x = 1e7 * np.cos((2 * k + 1) * np.pi / 82)
+        r = 0.9e7 * np.cos(k[1:] * np.pi / 41)
+        p = LagrangePoly(x, 1e-20 * np.prod(x[:, None] - r, axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(p, 1e8)
+        with mpmath.workdps(40):
+            want = 1e-20 * complex(mpmath.fprod(mpmath.mpf(1e8) - mpmath.mpf(v) for v in r))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_vectorized_matches_scalar(self, rng):
         p = LagrangePoly([0, 1, 2, 3], [1, -1, 2, 0])
         zs = rng.uniform(-2, 5, 7)
@@ -281,6 +336,12 @@ class TestFromRoots:
             want = 2.5 * (z - 1.5) ** 2 * (z - (-0.5 + 1j)) * (z - 2.0) ** 3
             got = evaluate(p, z)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_overflowing_product_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="values must be finite"):
+                from_roots(RootList([(1e200, 3)]), [0, 1, 2, 3])
 
     def test_leading_coeff_default_monic(self):
         p = from_roots(RootList([(0.0, 1)]), [1.0, 2.0])

@@ -1,12 +1,11 @@
 """Root pseudometric: assignment solvers against brute-force permutations."""
 
+import warnings
 from itertools import permutations
 
-import numpy as np
 import pytest
 
 from laggcd import (
-    LagrangePoly,
     LengthMismatchError,
     RootList,
     certify_distance,
@@ -14,7 +13,6 @@ from laggcd import (
     root_pseudometric,
     roots as find_roots,
 )
-from conftest import PX, PY
 
 
 def brute_force(f, g, rho):
@@ -63,6 +61,13 @@ class TestBasics:
         f = [0.0, 10.0, 20.0, 30.0]
         g = [0.0, 10.0, 20.0, 30.0 + 2 * sigma * n]
         assert root_pseudometric(f, g) == pytest.approx(2 * sigma)
+
+    @pytest.mark.parametrize("rho", ["sum", "max"])
+    def test_distance_beyond_the_double_range_is_inf(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = root_pseudometric([1e308 + 1e308j], [-1e308 - 1e308j], rho=rho)
+        assert d == float("inf")
 
 
 class TestOracleEquivalence:

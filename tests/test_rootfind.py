@@ -1,5 +1,7 @@
 """Companion pencil construction and eigenvalue-based rootfinding."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -209,6 +211,17 @@ def test_power_of_two_scaling_gives_identical_roots(ref_p):
         for k in (-30, -20, -10, -4, 4, 10, 20, 30):
             scaled = roots(LagrangePoly(p.nodes, p.values * 2.0**k)).roots
             assert scaled.tobytes() == base.tobytes()
+
+
+def test_subnormal_values_give_the_roots_of_their_normal_scaling(ref_p):
+    # below about 5.6e-309, 1 / max|f| overflows in a complex division
+    tiny = LagrangePoly(ref_p.nodes, ref_p.values * 2.0**-1060)
+    assert np.abs(tiny.values).max() < 5.6e-309
+    normal = LagrangePoly(ref_p.nodes, tiny.values * 2.0**1000 * 2.0**60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = roots(tiny).roots
+    assert got.tobytes() == roots(normal).roots.tobytes()
 
 
 def monomial_coefficients(nodes, values):
