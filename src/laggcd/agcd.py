@@ -89,7 +89,9 @@ def assemble_gcd(m: Matching, g: MatchGraph) -> RootList:
     of the endpoints, carrying the edge weight as multiplicity.
 
     An empty matching yields an empty RootList: the degree-0 GCD, i.e. the
-    inputs are coprime at this tolerance.
+    inputs are coprime at this tolerance. The edges are taken as build_graph
+    makes them, with int weights of at least 1; only the centres are
+    checked, for finiteness.
     """
     entries = []
     for e in m.edges:
@@ -97,7 +99,7 @@ def assemble_gcd(m: Matching, g: MatchGraph) -> RootList:
         b, db = g.right.entries[e.right]
         center = (da * a + db * b) / (da + db)
         entries.append((center, e.weight))
-    return RootList(entries)
+    return RootList._trusted(entries, entries)
 
 
 def reconstruct(
@@ -110,7 +112,8 @@ def reconstruct(
     with matched clusters reduced by the matched weight.
 
     side is "left" (P) or "right" (Q), selecting which edge endpoint indexes
-    into `clustered`.
+    into `clustered`. The entries come from RootLists and the matching's
+    int weights, so they are not checked again.
     """
     if side not in ("left", "right"):
         raise InvalidParameterError("side must be 'left' or 'right'")
@@ -122,7 +125,7 @@ def reconstruct(
         leftover = d - weight_at.get(idx, 0)
         if leftover > 0:
             entries.append((r, leftover))
-    return RootList(entries)
+    return RootList._trusted(entries)
 
 
 def certify_distance(
@@ -184,8 +187,9 @@ def approximate_gcd(
             raise DegenerateInputError(
                 "%s rootfinding found no roots: %s" % (name, rep.backward_note)
             )
-    p_roots = RootList((r, 1) for r in p_report.roots)
-    q_roots = RootList((r, 1) for r in q_report.roots)
+    # the reports' roots are finite and in a RootList's order already
+    p_roots = RootList._trusted([(r, 1) for r in p_report.roots.tolist()], ordered=True)
+    q_roots = RootList._trusted([(r, 1) for r in q_report.roots.tolist()], ordered=True)
     p_clustered = cluster(p_roots, params)
     q_clustered = cluster(q_roots, params)
 

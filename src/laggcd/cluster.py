@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidParameterError, check_sigma
-from .lagpoly import RootList, real_slack
+from .lagpoly import _EPS, RootList, _order, real_slack
 
 # Heuristic acceptance constants; deliberate engineering defaults, pinned
 # by tests.
@@ -38,6 +38,10 @@ COINCIDENT_RTOL = 1e-13
 # Full subset enumeration is used for heuristic candidates up to this many
 # points; beyond it, nearest-neighbour candidate sets keep the cost down.
 ENUMERATION_LIMIT = 12
+# Longer candidate lists go through the numpy radius gate (_within_reach)
+# before the exact scorer; for shorter ones numpy's per-call cost exceeds
+# the scoring that the gate saves.
+_GATE_MIN_CANDIDATES = 16
 # A kd-tree row is re-ranked exactly and trusted only when its kept
 # distances sit this far (relatively) below its last tree distance, and
 # that distance (in the tree's scaled units) is too large for its square
@@ -131,14 +135,17 @@ def _partners(q: Sequence[Item], sigma: float, slack: float) -> List[int]:
     return first
 
 
-def _order(t: Item):
-    return (t[0].real, t[0].imag)
-
-
 def _dnc(
-    q: Sequence[Item], first: List[int], lo: int, hi: int, sigma: float, slack: float
+    q: Sequence[Item],
+    first: List[int],
+    lo: int,
+    hi: int,
+    sigma: float,
+    slack: float,
+    made: List[Item],
 ) -> List[Item]:
-    """The merge recursion on q[lo:hi], with its result sorted by _order.
+    """The merge recursion on q[lo:hi], with its result sorted by _order;
+    each merged strip, centroids included, is appended to made.
 
     The plain recursion returns "rest + merged strip" at each node; this
     returns the stable sort of that list, so equal roots keep its order.
@@ -146,11 +153,13 @@ def _dnc(
     if min(first[lo:hi]) >= hi:  # no two roots within sigma: nothing merges
         return list(q[lo:hi])
     if hi - lo == 2:  # the pair is within sigma, so its real gap is too
-        return _merge_strip([q[lo], q[lo + 1]], sigma)
+        merged = _merge_strip([q[lo], q[lo + 1]], sigma)
+        made.extend(merged)
+        return merged
     # split index per the 1-based floor((l+r)/2) convention
     mid = (lo + 1 + hi) // 2
-    left = _dnc(q, first, lo, mid, sigma, slack)
-    right = _dnc(q, first, mid, hi, sigma, slack)
+    left = _dnc(q, first, lo, mid, sigma, slack, made)
+    right = _dnc(q, first, mid, hi, sigma, slack, made)
     mid_x = q[mid - 1][0].real
     # both children are sorted, so the strip lies in left[i:] + right[:j],
     # the entries within slack of the split
@@ -163,6 +172,7 @@ def _dnc(
     strip = [t for t in window if abs(t[0].real - mid_x) <= sigma]
     rest = [t for t in window if abs(t[0].real - mid_x) > sigma]
     merged = _merge_strip(strip, sigma)
+    made.extend(merged)
     middle = sorted(rest + merged, key=_order)
     # a centroid sorts after an equal root of right[j:] in the stable sort,
     # and rounding may carry one past either end of the window
@@ -194,7 +204,9 @@ def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     first = _partners(q, sigma, slack)
     if min(first, default=len(q)) == len(q):
         return roots
-    return RootList(_dnc(q, first, 0, len(q), sigma, slack))
+    made: List[Item] = []
+    out = _dnc(q, first, 0, len(q), sigma, slack, made)
+    return RootList._trusted(out, made, ordered=True)
 
 
 def _knn_candidates(points, active, m):
@@ -206,13 +218,14 @@ def _knn_candidates(points, active, m):
     z = np.array([points[i] for i in active], dtype=complex)
     xy = np.column_stack([z.real, z.imag])
     act = np.array(active)
-    rows = [act[row].tolist() for row in _nearest_rows(z, xy, m)]
-    return sorted({tuple(sorted([i] + row)) for i, row in zip(active, rows)})
+    cands = np.sort(np.column_stack([act, act[_nearest_rows(z, xy, m)]]), axis=1)
+    return sorted(set(map(tuple, cands.tolist())))
 
 
 def _nearest_rows(z, xy, m):
-    """Positions of the m - 1 nearest other points of each point of z,
-    by (distance, position); xy holds z's finite coordinates.
+    """Positions of the m - 1 nearest other points of each point of z, by
+    (distance, position), as a len(z) x (m - 1) array; xy holds z's finite
+    coordinates.
 
     One cKDTree query fetches m + 1 neighbours of every point; they are
     re-ranked exactly with np.hypot, which equals Python's abs(complex) bit
@@ -239,12 +252,11 @@ def _nearest_rows(z, xy, m):
     trusted = (k == n) | (
         (last < np.ldexp(bound, scale) * (1 - _KD_MARGIN)) & (bound > _KD_TINY)
     )
-    rows = list(kept)
     for a in np.flatnonzero(~trusted):
         dz = z - z[a]
         rest = np.argsort(np.hypot(dz.real, dz.imag), kind="stable")
-        rows[a] = rest[rest != a][: m - 1]
-    return rows
+        kept[a] = rest[rest != a][: m - 1]
+    return kept
 
 
 def _score_candidate(points, cand, m, radius_cap):
@@ -273,6 +285,35 @@ def _score_candidate(points, cand, m, radius_cap):
     return (gap_dev, rmax / rmin, rmax, cand)
 
 
+def _within_reach(points, cands, m, radius_cap):
+    """The candidates that _score_candidate may accept: every candidate but
+    those whose radius (the largest distance of its points from their
+    centroid) clearly exceeds both radius_cap and the coincidence bound.
+
+    The radius is taken in numpy with the scorer's operations in its order
+    (a running sum, then np.hypot), so that it overflows where the
+    scorer's does; a radius that is not finite keeps its candidate.
+    Whatever the rounding, numpy's radius and the scorer's differ by at
+    most (3m + 12) units of roundoff times top, the largest modulus of a
+    candidate's point, so a margin of 16m such units keeps every candidate
+    the scorer could accept. Since the scorer alone decides the rest, the
+    accepted clusters are those of scoring every candidate.
+    """
+    z = np.array(points, dtype=complex)[np.array(cands, dtype=np.intp)]
+    x, y = z.real, z.imag
+    with np.errstate(all="ignore"):  # overflow keeps the candidate, below
+        top = float(np.hypot(x, y).max())
+        limit = max(radius_cap, COINCIDENT_RTOL * max(1.0, top)) + 8 * m * _EPS * top
+        sx, sy = x[:, 0].copy(), y[:, 0].copy()
+        for k in range(1, m):
+            sx += x[:, k]
+            sy += y[:, k]
+        dx, dy = x - (sx / m)[:, None], y - (sy / m)[:, None]
+        radius = np.hypot(dx, dy).max(axis=1)
+        far = (radius > limit) & (radius < np.inf)
+    return [cands[i] for i in np.flatnonzero(~far).tolist()]
+
+
 def _coincident_runs(points) -> List[List[int]]:
     """Indices of each value that occurs more than once, ascending."""
     runs = {}
@@ -291,7 +332,9 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     Before the scan at size m, each value held by c >= m active points
     yields floor(c / m) clusters of its lowest indices: exactly coincident
     candidates score best of all, and the nearest-neighbour candidates
-    cannot find them, since every distance among the copies ties.
+    cannot find them, since every distance among the copies ties. A long
+    candidate list first passes _within_reach, which drops only candidates
+    that the scorer rejects.
     """
     points = [r for r, mult in roots for _ in range(mult)]
     active = set(range(len(points)))
@@ -321,6 +364,8 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         else:
             cands = _knn_candidates(points, act, m)
         radius_cap = params.sigma ** (1.0 / m)
+        if len(cands) > _GATE_MIN_CANDIDATES:
+            cands = _within_reach(points, cands, m, radius_cap)
         scored = []
         for cand in cands:
             score = _score_candidate(points, cand, m, radius_cap)
@@ -330,8 +375,8 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         for _, _, _, cand in scored:
             if all(i in active for i in cand):
                 accept(cand, m)
-    accepted.extend((points[i], 1) for i in sorted(active))
-    return RootList(accepted)
+    singles = [(points[i], 1) for i in sorted(active)]
+    return RootList._trusted(accepted + singles, accepted)
 
 
 def cluster(roots: RootList, params: ClusterParams) -> RootList:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import operator
 import sys
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -159,6 +159,26 @@ def evaluate(p: LagrangePoly, z):
     return out[0] if zarr.ndim == 0 else out.reshape(zarr.shape)
 
 
+def _convert(root, mult) -> Tuple[complex, int]:
+    """(complex(root), operator.index(mult)), or InvalidParameterError."""
+    # a string is no number, though complex() would parse "1", and a bool is
+    # no multiplicity, though operator.index(True) is 1
+    try:
+        if isinstance(root, (str, bytes)) or isinstance(mult, bool):
+            raise TypeError
+        return complex(root), operator.index(mult)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            "entries must be (number, integer), got %r" % ((root, mult),)
+        ) from None
+
+
+def _order(entry: Tuple[complex, int]) -> Tuple[float, float]:
+    """A RootList's sort key: the root's (real part, imaginary part)."""
+    root = entry[0]
+    return (root.real, root.imag)
+
+
 class RootList:
     """A multiset of complex roots with positive integer multiplicities.
 
@@ -168,6 +188,9 @@ class RootList:
     deterministic. A root that is not a number (a string included), a NaN
     or infinite part, or a multiplicity that is not an integer of at least
     1 (a bool included), raises InvalidParameterError.
+
+    The stages build their outputs with RootList._trusted, which skips the
+    checks that their entries pass by construction.
     """
 
     __slots__ = ("entries",)
@@ -175,16 +198,16 @@ class RootList:
     def __init__(self, entries: Iterable[Tuple[complex, int]] = ()):
         norm = []
         for root, mult in entries:
-            # a string is no number, though complex() would parse "1", and
-            # a bool is no multiplicity, though operator.index(True) is 1
-            try:
-                if isinstance(root, (str, bytes)) or isinstance(mult, bool):
-                    raise TypeError
-                root, mult = complex(root), operator.index(mult)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(
-                    "entries must be (number, integer), got %r" % ((root, mult),)
-                ) from None
+            kind = type(root)
+            # a complex or numpy complex root with an int multiplicity needs
+            # no conversion beyond complex(); any other entry goes through
+            # _convert's checks
+            if type(mult) is not int or (
+                kind is not complex and kind is not np.complex128
+            ):
+                root, mult = _convert(root, mult)
+            elif kind is not complex:
+                root = complex(root)
             if not cmath.isfinite(root):
                 raise InvalidParameterError("roots must be finite, got %r" % root)
             if mult < 1:
@@ -192,8 +215,33 @@ class RootList:
                     "multiplicities must be >= 1, got %d" % mult
                 )
             norm.append((root, mult))
-        norm.sort(key=lambda e: (e[0].real, e[0].imag))
+        norm.sort(key=_order)
         self.entries: Tuple[Tuple[complex, int], ...] = tuple(norm)
+
+    @classmethod
+    def _trusted(
+        cls,
+        entries: List[Tuple[complex, int]],
+        computed: Sequence[Tuple[complex, int]] = (),
+        ordered: bool = False,
+    ) -> "RootList":
+        """A RootList of entries that are already (Python complex, int >= 1).
+
+        Only the roots of `computed`, the entries a stage computed (such as
+        centroids, which can overflow), are checked for finiteness; if one
+        is not finite, the first such root of entries raises __init__'s
+        error. The list entries is sorted in place, unless `ordered` says
+        that it is in a RootList's order already.
+        """
+        if not all(cmath.isfinite(root) for root, _ in computed):
+            for root, _ in entries:
+                if not cmath.isfinite(root):
+                    raise InvalidParameterError("roots must be finite, got %r" % root)
+        if not ordered:
+            entries.sort(key=_order)
+        self = cls.__new__(cls)
+        self.entries = tuple(entries)
+        return self
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)

@@ -62,7 +62,11 @@ def _bottleneck(dist: np.ndarray) -> float:
     n = dist.shape[0]
 
     def feasible(t: float) -> bool:
-        adj = csr_matrix(dist <= t)
+        # the CSR of the mask dist <= t, built from its row-major nonzeros
+        rows, cols = np.nonzero(dist <= t)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        adj = csr_matrix((np.ones(len(cols), dtype=bool), cols, indptr), shape=(n, n))
         match = maximum_bipartite_matching(adj, perm_type="column")
         return int((match >= 0).sum()) == n
 

@@ -19,6 +19,7 @@ from laggcd import (
     RootList,
     ZeroPolynomialError,
     approximate_gcd,
+    assemble_gcd,
     barycentric_weights,
     build_graph,
     build_pencil,
@@ -161,6 +162,38 @@ def test_option_errors_are_typed(call):
     assert isinstance(exc.value, LagGcdError)
     assert isinstance(exc.value, ValueError)
     assert exc.value.exit_code == 2
+
+
+def _overflow_gcd():
+    g = build_graph(RootList([(1.5e308, 1)]), RootList([(1.6e308, 2)]), 1e308)
+    return assemble_gcd(greedy_mwm(g), g)
+
+
+_HUGE_PAIR = [(1.5e308, 1), (1.6e308, 1)]
+_HEURISTIC = ClusterParams(sigma=1e308, strategy="heuristic")
+# The stages build their outputs without RootList's checks; a centroid that
+# overflows must still fail with its error. (1.5e308 + 1.6e308) / 2 is
+# (inf+nanj); with 30 more points the heuristic takes its kNN path and
+# its radius gate.
+CENTROID_OVERFLOWS = {
+    "dnc": lambda: cluster_dnc(RootList(_HUGE_PAIR), 1e308),
+    "heuristic": lambda: cluster_heuristic(RootList(_HUGE_PAIR), _HEURISTIC),
+    "heuristic_knn": lambda: cluster_heuristic(
+        RootList(_HUGE_PAIR + [(complex(k, k * k % 7), 1) for k in range(30)]),
+        _HEURISTIC,
+    ),
+    "assemble_gcd": _overflow_gcd,
+}
+
+
+@pytest.mark.parametrize(
+    "call", CENTROID_OVERFLOWS.values(), ids=CENTROID_OVERFLOWS.keys()
+)
+def test_overflowing_centroid_fails_loudly(call):
+    with pytest.raises(
+        InvalidParameterError, match=r"^roots must be finite, got \(inf\+nanj\)$"
+    ):
+        call()
 
 
 def test_exit_code_table():

@@ -2,9 +2,10 @@
 
 Each oracle below is the straightforward version of a layer: the
 divide-and-conquer clustering recursion that visits every node, the
-all-pairs edge scan, a full sort per point for nearest neighbours, a
-binary search over every distinct distance for the bottleneck, a
-per-node product loop for sampling from roots, and the dense assignment
+heuristic scan that scores every candidate, the all-pairs edge scan, a
+full sort per point for nearest neighbours, a binary search over every
+distinct distance for the bottleneck, a per-node product loop for
+sampling from roots, and the dense assignment
 over all n x n distances for rho="sum". The fast versions must give the
 same Python objects and the same floats, bit for bit (rho="sum" only
 where its optimal assignment is unique; elsewhere to 1e-15 relative).
@@ -13,6 +14,7 @@ where its optimal assignment is unique; elsewhere to 1e-15 relative).
 import importlib
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -55,6 +57,42 @@ def oracle_dnc(roots, sigma):
     if not roots:
         return roots
     return RootList(_oracle_dnc(roots.entries, 0, len(roots), sigma))
+
+
+def oracle_heuristic(roots, params):
+    """cluster_heuristic with every candidate scored exactly, no radius gate."""
+    points = [r for r, mult in roots for _ in range(mult)]
+    active = set(range(len(points)))
+    accepted = []
+
+    def accept(cand, m):
+        accepted.append((sum(points[i] for i in cand) / m, m))
+        active.difference_update(cand)
+
+    runs = cluster_mod._coincident_runs(points)
+    for m in range(min(params.max_multiplicity, len(points)), 1, -1):
+        if len(active) < m:
+            continue
+        for run in runs:
+            if len(run) >= m:
+                run[:] = [i for i in run if i in active]
+                whole = len(run) - len(run) % m
+                for k in range(0, whole, m):
+                    accept(run[k : k + m], m)
+                del run[:whole]
+        if len(active) < m:
+            continue
+        act = sorted(active)
+        if len(act) <= ENUMERATION_LIMIT:
+            cands = list(combinations(act, m))
+        else:
+            cands = _knn_candidates(points, act, m)
+        radius_cap = params.sigma ** (1.0 / m)
+        scores = (cluster_mod._score_candidate(points, c, m, radius_cap) for c in cands)
+        for _, _, _, cand in sorted(s for s in scores if s is not None):
+            if all(i in active for i in cand):
+                accept(cand, m)
+    return RootList(accepted + [(points[i], 1) for i in sorted(active)])
 
 
 def oracle_edges(roots_p, roots_q, sigma):
@@ -267,6 +305,114 @@ class TestDnC:
         for _ in range(50):
             roots = with_mults(rng, cloud(rng, 40), top=1)
             assert_dnc_parity(roots, float(rng.choice([0.05, 0.2])))
+
+
+# ---------------------------------------------------------------- cluster_heuristic
+
+
+def assert_heuristic_parity(roots, sigma, max_multiplicity=3):
+    params = ClusterParams(
+        sigma=sigma, max_multiplicity=max_multiplicity, strategy="heuristic"
+    )
+    out, ref = cluster_heuristic(roots, params), oracle_heuristic(roots, params)
+    assert out == ref
+    assert repr(out) == repr(ref)
+    return out
+
+
+def planted(rng, n, radius, m=3, scale=1.0):
+    """n points of a cloud, n // (2 m) m-gons of the given radius among them."""
+    k = n // (2 * m)
+    z = cloud(rng, n - k * m + k, scale=scale)
+    centres, points = z[:k], list(z[k:])
+    for c in centres:
+        t = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(m) / m
+        points += list(c + radius * np.exp(1j * (t + rng.uniform(-0.05, 0.05, m))))
+    return points
+
+
+class TestHeuristic:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds_either_side_of_enumeration_limit(self, seed):
+        rng = np.random.default_rng([20, seed])
+        for n in (2, 5, ENUMERATION_LIMIT, ENUMERATION_LIMIT + 1, 30, 80):
+            z = planted(rng, n, 10.0 ** rng.uniform(-4, -1))
+            roots = RootList((complex(r), 1) for r in z)
+            for sigma in (1e-9, 1e-4, 1e-2, 0.5):
+                assert_heuristic_parity(roots, sigma, int(rng.integers(2, 5)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("far", [8, 40], ids=["enumerated", "knn"])
+    def test_radius_within_ulps_of_the_cap(self, monkeypatch, m, far):
+        # caps sigma**(1/m) from 4 ulps below to 4 ulps above the radius the
+        # scorer takes for a regular m-gon among far points, with enumerated
+        # or nearest-neighbour candidates, enough of them for the radius gate
+        gate, gated = cluster_mod._within_reach, []
+        monkeypatch.setattr(
+            cluster_mod, "_within_reach", lambda *a: gated.append(a[2]) or gate(*a)
+        )
+        polygon = [complex(1e-3 * np.exp(2j * np.pi * (j / m + 0.1))) for j in range(m)]
+        others = [complex(3 + k % 8, 1 + k // 8) for k in range(far)]
+        roots = RootList((z, 1) for z in polygon + others)
+        pts = sorted(polygon, key=lambda z: (z.real, z.imag))  # the scorer's order
+        centroid = sum(pts) / m
+        radius = max(abs(p - centroid) for p in pts)
+        lo = hi = radius
+        for _ in range(4):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        sigma = radius**m
+        while sigma ** (1.0 / m) >= lo:
+            sigma = math.nextafter(sigma, 0.0)
+        caps = set()
+        while sigma ** (1.0 / m) <= hi:
+            cap = sigma ** (1.0 / m)
+            if cap >= lo and cap not in caps:
+                caps.add(cap)
+                out = assert_heuristic_parity(roots, sigma, m)
+                assert any(mult == m for _, mult in out) == (cap >= radius)
+            sigma = math.nextafter(sigma, 1.0)
+        assert len(caps) >= 8
+        assert m in gated
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coincident_runs(self, seed):
+        rng = np.random.default_rng([21, seed])
+        pool = planted(rng, 12, 1e-3)
+        for _ in range(20):
+            picks = rng.integers(0, len(pool), int(rng.integers(2, 30)))
+            roots = RootList((complex(pool[k]), int(rng.integers(1, 5))) for k in picks)
+            assert_heuristic_parity(roots, float(rng.choice([0.0, 1e-9, 1e-3])), 4)
+
+    def test_sigma_zero(self):
+        rng = np.random.default_rng(22)
+        z = planted(rng, 40, 1e-15) + [0.5, 0.5, 0.5 + 1e-14]
+        roots = RootList((complex(r), 1) for r in z)
+        assert_heuristic_parity(roots, 0.0)
+        assert_heuristic_parity(RootList(roots.entries[:ENUMERATION_LIMIT]), 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(23)
+        z = planted(rng, 40, 1e-3 * scale, scale=scale)
+        roots = RootList((complex(r), 1) for r in z)
+        for sigma in (0.0, 1e-9, (1e-3 * scale) ** 2, 1e300):
+            assert_heuristic_parity(roots, sigma)
+            assert_heuristic_parity(RootList(roots.entries[:10]), sigma)
+
+    def test_gate_drops_only_what_the_scorer_rejects(self):
+        # on a spread cloud most kNN candidates lie far beyond the cap
+        rng = np.random.default_rng(24)
+        points = [complex(z) for z in planted(rng, 200, 1e-4)]
+        for m in (2, 3):
+            cap = 1e-9 ** (1.0 / m)
+            cands = _knn_candidates(points, list(range(len(points))), m)
+            kept = cluster_mod._within_reach(points, cands, m, cap)
+            dropped = set(cands) - set(kept)
+            assert len(dropped) > len(cands) // 2
+            assert all(
+                cluster_mod._score_candidate(points, c, m, cap) is None
+                for c in dropped
+            )
 
 
 # ---------------------------------------------------------------- build_graph
