@@ -97,7 +97,10 @@ def _merge_strip(points: List[Item], sigma: float) -> List[Item]:
         best = None
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                d = abs(pts[i][0] - pts[j][0])
+                try:
+                    d = abs(pts[i][0] - pts[j][0])
+                except OverflowError:  # beyond the double range
+                    d = math.inf
                 if d <= sigma and (best is None or d < best[0]):
                     best = (d, i, j)
         if best is None:
@@ -128,7 +131,11 @@ def _partners(q: Sequence[Item], sigma: float, slack: float) -> List[int]:
             s = pts[b]
             if s.real > edge:
                 break
-            if abs(r - s) <= sigma:
+            try:
+                d = abs(r - s)
+            except OverflowError:  # beyond the double range
+                d = math.inf
+            if d <= sigma:
                 first[a] = b
                 break
             b += 1
@@ -243,29 +250,44 @@ def _nearest_rows(z, xy, m):
     unit = np.ldexp(xy, -scale)
     tree_dist, near = cKDTree(unit).query(unit, k=k)
     own = near == np.arange(n)[:, None]
-    dz = z[near] - z[:, None]
-    dist = np.where(own, np.inf, np.hypot(dz.real, dz.imag))
-    order = np.lexsort((np.where(own, n, near), dist))[:, : m - 1]
-    kept = np.take_along_axis(near, order, axis=1)
-    last = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
-    bound = tree_dist[:, -1]
-    trusted = (k == n) | (
-        (last < np.ldexp(bound, scale) * (1 - _KD_MARGIN)) & (bound > _KD_TINY)
-    )
-    for a in np.flatnonzero(~trusted):
-        dz = z - z[a]
-        rest = np.argsort(np.hypot(dz.real, dz.imag), kind="stable")
-        kept[a] = rest[rest != a][: m - 1]
+    # a distance, or the tree's bound scaled back, beyond the double range
+    # is inf
+    with np.errstate(over="ignore"):
+        dz = z[near] - z[:, None]
+        dist = np.where(own, np.inf, np.hypot(dz.real, dz.imag))
+        order = np.lexsort((np.where(own, n, near), dist))[:, : m - 1]
+        kept = np.take_along_axis(near, order, axis=1)
+        last = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+        bound = tree_dist[:, -1]
+        trusted = (k == n) | (
+            (last < np.ldexp(bound, scale) * (1 - _KD_MARGIN)) & (bound > _KD_TINY)
+        )
+        for a in np.flatnonzero(~trusted):
+            dz = z - z[a]
+            rest = np.argsort(np.hypot(dz.real, dz.imag), kind="stable")
+            kept[a] = rest[rest != a][: m - 1]
     return kept
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where it lies beyond the double range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _score_candidate(points, cand, m, radius_cap):
     """Return an orderable score tuple if the candidate passes, else None."""
     pts = [points[i] for i in cand]
     centroid = sum(pts) / m
-    dists = [abs(p - centroid) for p in pts]
+    try:
+        dists = [abs(p - centroid) for p in pts]
+        scale = max(1.0, abs(centroid))
+    except OverflowError:  # a modulus beyond the double range
+        dists = [_modulus(p - centroid) for p in pts]
+        scale = max(1.0, _modulus(centroid))
     rmax = max(dists)
-    scale = max(1.0, abs(centroid))
     if rmax <= COINCIDENT_RTOL * scale:
         return (0.0, 1.0, 0.0, cand)  # exactly coincident points
     if rmax > radius_cap:

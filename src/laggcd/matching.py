@@ -8,6 +8,7 @@ one dense assignment, far cheaper than the rootfinding before it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -69,7 +70,10 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
         hi = bisect_right(reals, r.real + slack)
         for j in range(lo, hi):
             s, ds = right[j]
-            d = abs(r - s)
+            try:
+                d = abs(r - s)
+            except OverflowError:  # beyond the double range
+                d = math.inf
             if d <= sigma:
                 edges.append(Edge(i, j, min(dr, ds), d))
     return MatchGraph(left=roots_p, right=roots_q, edges=tuple(edges))

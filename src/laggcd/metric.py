@@ -13,9 +13,20 @@ Some optimal assignment pairs every shared coordinate: if f_i = g_j = p
 while i goes to j' and i' goes to j, swapping to i -> j, i' -> j' costs
 no more, as |f_i' - g_j'| <= |f_i' - p| + |p - g_j'|. The matched
 distances are summed in f's order, so the value is the dense solve's bit
-for bit wherever the optimal assignment is unique. rho="max" does not
-pair first: there the swap can cost more (f = {-1, 0}, g = {0, 1} has
-distance 1, but pairing the shared 0 gives 2).
+for bit wherever the optimal assignment is unique.
+
+For rho="max" the swap can cost more (f = {-1, 0}, g = {0, 1} has
+distance 1, but pairing the shared 0 gives 2), so pairing first is only
+a candidate there. From _PAIR_FIRST_MIN_N roots up, with k of them
+unshared, it costs O(k * n): the dense lower bound lb (the largest row
+or column minimum of the n x n distances) comes from the k unshared rows
+and columns alone, since a shared one has minimum 0. The bottleneck t_k
+of the k x k unshared block is the value of one assignment (the shared
+copies paired at 0), so lb <= t* <= t_k for the optimum t*, and when
+t_k == lb it is the optimum, the float the dense search returns. When
+lb is not attained (as in the example above), when nothing is shared
+(as between independent clouds), or below that size, the dense search
+over all n^2 distances runs.
 
 Non-finite coordinates are rejected with InvalidParameterError for both
 rhos: a NaN or infinite root has no distance to anything. The certificate
@@ -36,6 +47,12 @@ from .lagpoly import RootList
 
 RHO_SUM = "sum"
 RHO_MAX = "max"
+
+# rho="max" tries pairing shared coordinates first from this many roots
+# up. Below it the sort and the slices cost more than the dense search
+# they save: on certificate-shaped pairs the two cross between 64 and 128
+# roots, the later the larger the unshared share.
+_PAIR_FIRST_MIN_N = 128
 
 
 def _coords(obj) -> np.ndarray:
@@ -108,6 +125,28 @@ def _unshared(both: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return left[:n].nonzero()[0], left[n:].nonzero()[0]
 
 
+def _max_distance(fv: np.ndarray, gv: np.ndarray, both: np.ndarray) -> float:
+    """n times the rho="max" distance of f and g, both = f followed by g.
+
+    Every distance is the dense path's np.abs(fv[i] - gv[j]), so it is the
+    same float; the caller's np.errstate applies.
+    """
+    n = len(fv)
+    if n >= _PAIR_FIRST_MIN_N:
+        rows, cols = _unshared(both, n)
+        if not len(rows):
+            return 0.0
+        if len(rows) < n:
+            # the unshared rows and columns of the n x n distances
+            f_rows = np.abs(fv[rows][:, None] - gv[None, :])
+            g_cols = np.abs(fv[:, None] - gv[cols][None, :])
+            lb = max(f_rows.min(axis=1).max(), g_cols.min(axis=0).max())
+            paired = _bottleneck(f_rows[:, cols])
+            if paired == lb:
+                return paired
+    return _bottleneck(np.abs(fv[:, None] - gv[None, :]))
+
+
 def check_rho(rho) -> None:
     """Raise InvalidParameterError unless rho is "sum" or "max"."""
     if rho not in (RHO_SUM, RHO_MAX):
@@ -139,7 +178,7 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     # a difference or a sum beyond the double range is inf
     with np.errstate(over="ignore"):
         if rho == RHO_MAX:
-            return _bottleneck(np.abs(fv[:, None] - gv[None, :])) / n
+            return _max_distance(fv, gv, both) / n
         rows, cols = _unshared(both, n)
         dist = np.abs(np.subtract.outer(fv[rows], gv[cols]))
         try:

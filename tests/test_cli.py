@@ -246,6 +246,13 @@ class TestCluster:
         assert code == 0
         assert out.splitlines()[1:] == ["1,0,2,0,true", "1,0,1,1,false"]
 
+    def test_distance_beyond_the_double_range(self, capsys, tmp_path):
+        # the two points are 1.8e308 apart: inf, outside any finite sigma
+        path = write_json(tmp_path, "pts.json", [[0.0, 1], [[1e308, 1.5e308], 1]])
+        code, out, err = run(capsys, ["cluster", path, "--sigma", "1.7e308"])
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == ["0,0,1,0,false", "1e+308,1.5e+308,1,1,false"]
+
     def test_empty_points_file(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", [])
         code, out, _ = run(capsys, ["cluster", path, "--sigma", "1.0"])

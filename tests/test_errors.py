@@ -183,6 +183,10 @@ CENTROID_OVERFLOWS = {
         _HEURISTIC,
     ),
     "assemble_gcd": _overflow_gcd,
+    # their distance 2e308 is inf, within sigma inf
+    "dnc_distance_overflow": lambda: cluster_dnc(
+        RootList([(1.7e308 + 1.3e308j, 1), (0.3e308 - 0.1e308j, 1)]), INF
+    ),
 }
 
 
@@ -194,6 +198,53 @@ def test_overflowing_centroid_fails_loudly(call):
         InvalidParameterError, match=r"^roots must be finite, got \(inf\+nanj\)$"
     ):
         call()
+
+
+def test_overflowing_knn_distances_warn_nothing():
+    # the kNN re-ranking's distances overflow before the centroid (nan+nanj)
+    # does; the suite turns a RuntimeWarning into an error
+    roots = RootList(
+        [(1.5e308 + 1.5e308j, 1), (1.6e308 + 1.5e308j, 1)]
+        + [(complex(k, k * k % 7), 1) for k in range(30)]
+    )
+    with pytest.raises(InvalidParameterError, match=r"^roots must be finite, got"):
+        cluster_heuristic(roots, _HEURISTIC)
+
+
+_FAR = 1e308 + 1.5e308j  # abs(_FAR) is beyond the double range
+_HUGE = 1.5e308 + 1.5e308j
+# A pair distance beyond the double range reads as inf, which no finite
+# sigma holds: the partner sweep, the strip merge, the heuristic's scorer
+# and the edge scan.
+DISTANCE_OVERFLOWS = {
+    "dnc_sweep": (
+        lambda: cluster_dnc(RootList([(0j, 1), (_FAR, 1)]), 1.7e308),
+        RootList([(0j, 1), (_FAR, 1)]),
+    ),
+    "dnc_strip": (
+        lambda: cluster_dnc(RootList([(0j, 1), (1e-3, 1), (_FAR, 1)]), 1.7e308),
+        RootList([(5e-4, 2), (_FAR, 1)]),
+    ),
+    "heuristic": (
+        lambda: cluster_heuristic(RootList([(_HUGE, 1), (-_HUGE, 1)]), _HEURISTIC),
+        RootList([(_HUGE, 1), (-_HUGE, 1)]),
+    ),
+    "graph": (
+        lambda: build_graph(RootList([(0j, 1)]), RootList([(_FAR, 1)]), 1.7e308).edges,
+        (),
+    ),
+    "graph_sigma_inf": (
+        lambda: build_graph(RootList([(0j, 1)]), RootList([(_FAR, 1)]), INF).edges,
+        (Edge(0, 0, 1, INF),),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, expected", DISTANCE_OVERFLOWS.values(), ids=DISTANCE_OVERFLOWS.keys()
+)
+def test_overflowing_distances_are_inf(call, expected):
+    assert call() == expected
 
 
 def test_exit_code_table():

@@ -33,10 +33,11 @@ from laggcd import (
 )
 from laggcd.cluster import ENUMERATION_LIMIT, _knn_candidates
 from laggcd.matching import Edge
-from laggcd.metric import _bottleneck, _unshared
+from laggcd.metric import _PAIR_FIRST_MIN_N, _bottleneck, _unshared
 
 # the package re-exports the function `cluster` under the module's name
 cluster_mod = importlib.import_module("laggcd.cluster")
+metric_mod = importlib.import_module("laggcd.metric")
 
 
 # ---------------------------------------------------------------- oracles
@@ -560,6 +561,31 @@ class TestKnnCandidates:
 # ---------------------------------------------------------------- bottleneck
 
 
+def pairwise_between(f, g):
+    with np.errstate(over="ignore"):  # beyond the double range is inf
+        return np.abs(np.asarray(f)[:, None] - np.asarray(g)[None, :])
+
+
+N = _PAIR_FIRST_MIN_N
+
+
+def certificate_pair(rng, n, groups):
+    """A raw root cloud and its reconstruction, in shuffled orders, and the
+    number of roots they do not share: each of `groups` perturbed doubles
+    and triples becomes its centroid, repeated, and every other root
+    passes through unchanged."""
+    sizes = [2, 3] * (groups // 2) + [3] * (groups % 2)
+    singles = cloud(rng, n - sum(sizes))
+    raw, rebuilt = [singles], [singles]
+    for m, center in zip(sizes, cloud(rng, groups)):
+        angles = 2 * np.pi * (np.arange(m) / m + rng.uniform(0, 0.02, m))
+        group = center + 1e-4 * np.exp(1j * angles)
+        raw.append(group)
+        rebuilt.append(np.repeat(sum(group) / m, m))
+    raw, rebuilt = np.concatenate(raw), np.concatenate(rebuilt)
+    return rng.permutation(raw), rng.permutation(rebuilt), sum(sizes)
+
+
 class TestBottleneck:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
@@ -600,9 +626,99 @@ class TestBottleneck:
         dist = pairwise_between([0.0, 1.0, math.nan], [0.5, 1.0, 2.0])
         assert bits(_bottleneck(dist)) == bits(oracle_bottleneck(dist))
 
+    # root_pseudometric(rho="max") against the oracle on all n x n
+    # distances, with the sizes of the blocks _bottleneck searched: [k]
+    # where the shared copies pair first and the k x k bound is the
+    # optimum, [k, n] where it is not and the dense search follows, [n] on
+    # the dense path alone, [] when every coordinate is shared.
 
-def pairwise_between(f, g):
-    return np.abs(np.asarray(f)[:, None] - np.asarray(g)[None, :])
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        sizes = []
+
+        def spy(dist):
+            sizes.append(dist.shape[0])
+            return _bottleneck(dist)
+
+        monkeypatch.setattr(metric_mod, "_bottleneck", spy)
+        return sizes
+
+    def check(self, searched, f, g):
+        f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+        searched.clear()
+        got = root_pseudometric(f, g, rho="max")
+        assert bits(got) == bits(oracle_bottleneck(pairwise_between(f, g)) / len(f))
+        return got, list(searched)
+
+    @pytest.mark.parametrize("n", [16, N - 1, N, 2 * N, 512])
+    def test_certificate_pairs(self, searched, n):
+        rng = np.random.default_rng([20, n])
+        for _ in range(3):
+            raw, rebuilt, unshared = certificate_pair(rng, n, max(2, n // 32))
+            got, sizes = self.check(searched, raw, rebuilt)
+            assert got > 0.0
+            assert sizes == ([unshared] if n >= N else [n])
+
+    def test_counterexample_above_the_threshold(self, searched):
+        # {-1, 0} against {0, 1} with shared far roots: pairing the shared 0
+        # gives 2 against a lower bound of 1, so the dense search decides
+        shared = 10.0 + np.arange(N - 2)
+        f = np.concatenate([[-1.0, 0.0], shared])
+        g = np.concatenate([[0.0, 1.0], shared[::-1]])
+        got, sizes = self.check(searched, f, g)
+        assert got == 1.0 / N
+        assert sizes == [1, N]
+
+    @pytest.mark.parametrize("n", [N - 1, N, 300])
+    def test_all_shared_and_none_shared(self, searched, n):
+        rng = np.random.default_rng([21, n])
+        f = cloud(rng, n)
+        got, sizes = self.check(searched, f, rng.permutation(f))
+        assert bits(got) == bits(0.0)
+        assert sizes == ([] if n >= N else [n])
+        got, sizes = self.check(searched, f, cloud(rng, n))
+        assert sizes == [n]
+
+    def test_signed_zeros(self, searched):
+        rng = np.random.default_rng(22)
+        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        rest = cloud(rng, N - 4)
+        f = rng.permutation(np.concatenate([np.array(zeros, dtype=complex), rest]))
+        g = np.concatenate([np.zeros(4), rest])
+        g[-3:] += 1e-3
+        got, sizes = self.check(searched, f, g)
+        assert got > 0.0 and sizes == [3]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unequal_copy_counts(self, searched, seed):
+        rng = np.random.default_rng([23, seed])
+        values = cloud(rng, 8)
+        counts_f, counts_g = rng.integers(0, 6, (2, 8))
+        f, g = np.repeat(values, counts_f), np.repeat(values, counts_g)
+        n = N + max(len(f), len(g))
+        both = cloud(rng, n - max(len(f), len(g)))
+        f = rng.permutation(np.concatenate([f, cloud(rng, n - len(f) - len(both)), both]))
+        g = rng.permutation(np.concatenate([g, cloud(rng, n - len(g) - len(both)), both]))
+        _, sizes = self.check(searched, f, g)
+        k = sum(oracle_unshared(f, g)[0].values())
+        assert sizes in ([k], [k, n])
+
+    def test_distances_beyond_the_double_range(self, searched):
+        rng = np.random.default_rng(24)
+        big = 1e308 * (1 + 1j)
+        # the lone far root of each side: its nearest root is 1.4e308 away,
+        # while the two far roots are inf apart, so the dense search decides
+        shared = cloud(rng, N - 1)
+        got, sizes = self.check(
+            searched, np.append(shared, big), np.append(shared[::-1], -big)
+        )
+        assert math.isfinite(got) and sizes == [1, N]
+        # near -big, every root is inf from big: the bound inf is attained
+        shared = -big + 1e306 * cloud(rng, N - 1)
+        got, sizes = self.check(searched, np.append(shared, big), np.append(shared, -big))
+        assert got == math.inf and sizes == [1]
+
+
 
 
 # ---------------------------------------------------------------- from_roots
