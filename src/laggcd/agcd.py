@@ -19,7 +19,7 @@ from .cluster import ClusterParams, cluster
 from .errors import (
     DegenerateInputError, InvalidParameterError, ZeroPolynomialError, check_sigma
 )
-from .lagpoly import LagrangePoly, RootList, from_roots
+from .lagpoly import LagrangePoly, RootList, _centroid, from_roots
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
 from .metric import RHO_SUM, check_rho, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
@@ -91,15 +91,14 @@ def assemble_gcd(m: Matching, g: MatchGraph) -> RootList:
     An empty matching yields an empty RootList: the degree-0 GCD, i.e. the
     inputs are coprime at this tolerance. The edges are taken as build_graph
     makes them, with int weights of at least 1; only the centres are
-    checked, for finiteness.
+    checked, for finiteness, where they are computed.
     """
     entries = []
     for e in m.edges:
         a, da = g.left.entries[e.left]
         b, db = g.right.entries[e.right]
-        center = (da * a + db * b) / (da + db)
-        entries.append((center, e.weight))
-    return RootList._trusted(entries, entries)
+        entries.append((_centroid(da * a + db * b, da + db), e.weight))
+    return RootList._trusted(entries)
 
 
 def reconstruct(

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidParameterError, check_sigma
-from .lagpoly import _EPS, RootList, _order, real_slack
+from .lagpoly import _EPS, RootList, _centroid, _order, real_slack
 
 # Heuristic acceptance constants; deliberate engineering defaults, pinned
 # by tests.
@@ -38,10 +38,6 @@ COINCIDENT_RTOL = 1e-13
 # Full subset enumeration is used for heuristic candidates up to this many
 # points; beyond it, nearest-neighbour candidate sets keep the cost down.
 ENUMERATION_LIMIT = 12
-# Longer candidate lists go through the numpy radius gate (_within_reach)
-# before the exact scorer; for shorter ones numpy's per-call cost exceeds
-# the scoring that the gate saves.
-_GATE_MIN_CANDIDATES = 16
 # A kd-tree row is re-ranked exactly and trusted only when its kept
 # distances sit this far (relatively) below its last tree distance, and
 # that distance (in the tree's scaled units) is too large for its square
@@ -107,7 +103,7 @@ def _merge_strip(points: List[Item], sigma: float) -> List[Item]:
             break
         _, i, j = best
         (u, du), (v, dv) = pts[i], pts[j]
-        merged = ((du * u + dv * v) / (du + dv), du + dv)
+        merged = (_centroid(du * u + dv * v, du + dv), du + dv)
         pts = [p for k, p in enumerate(pts) if k not in (i, j)] + [merged]
         pts.sort(key=lambda t: (t[0].imag, t[0].real))
     return pts
@@ -149,10 +145,8 @@ def _dnc(
     hi: int,
     sigma: float,
     slack: float,
-    made: List[Item],
 ) -> List[Item]:
-    """The merge recursion on q[lo:hi], with its result sorted by _order;
-    each merged strip, centroids included, is appended to made.
+    """The merge recursion on q[lo:hi], with its result sorted by _order.
 
     The plain recursion returns "rest + merged strip" at each node; this
     returns the stable sort of that list, so equal roots keep its order.
@@ -160,13 +154,11 @@ def _dnc(
     if min(first[lo:hi]) >= hi:  # no two roots within sigma: nothing merges
         return list(q[lo:hi])
     if hi - lo == 2:  # the pair is within sigma, so its real gap is too
-        merged = _merge_strip([q[lo], q[lo + 1]], sigma)
-        made.extend(merged)
-        return merged
+        return _merge_strip([q[lo], q[lo + 1]], sigma)
     # split index per the 1-based floor((l+r)/2) convention
     mid = (lo + 1 + hi) // 2
-    left = _dnc(q, first, lo, mid, sigma, slack, made)
-    right = _dnc(q, first, mid, hi, sigma, slack, made)
+    left = _dnc(q, first, lo, mid, sigma, slack)
+    right = _dnc(q, first, mid, hi, sigma, slack)
     mid_x = q[mid - 1][0].real
     # both children are sorted, so the strip lies in left[i:] + right[:j],
     # the entries within slack of the split
@@ -179,7 +171,6 @@ def _dnc(
     strip = [t for t in window if abs(t[0].real - mid_x) <= sigma]
     rest = [t for t in window if abs(t[0].real - mid_x) > sigma]
     merged = _merge_strip(strip, sigma)
-    made.extend(merged)
     middle = sorted(rest + merged, key=_order)
     # a centroid sorts after an equal root of right[j:] in the stable sort,
     # and rounding may carry one past either end of the window
@@ -211,28 +202,12 @@ def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     first = _partners(q, sigma, slack)
     if min(first, default=len(q)) == len(q):
         return roots
-    made: List[Item] = []
-    out = _dnc(q, first, 0, len(q), sigma, slack, made)
-    return RootList._trusted(out, made, ordered=True)
+    return RootList._trusted(_dnc(q, first, 0, len(q), sigma, slack), ordered=True)
 
 
 def _knn_candidates(points, active, m):
     """Each active point with its m - 1 nearest active neighbours, ranked
     by (abs(points[j] - points[i]), j) as a sort over all of them would.
-
-    The ranking comes from a kd-tree (see _nearest_rows).
-    """
-    z = np.array([points[i] for i in active], dtype=complex)
-    xy = np.column_stack([z.real, z.imag])
-    act = np.array(active)
-    cands = np.sort(np.column_stack([act, act[_nearest_rows(z, xy, m)]]), axis=1)
-    return sorted(set(map(tuple, cands.tolist())))
-
-
-def _nearest_rows(z, xy, m):
-    """Positions of the m - 1 nearest other points of each point of z, by
-    (distance, position), as a len(z) x (m - 1) array; xy holds z's finite
-    coordinates.
 
     One cKDTree query fetches m + 1 neighbours of every point; they are
     re-ranked exactly with np.hypot, which equals Python's abs(complex) bit
@@ -240,8 +215,10 @@ def _nearest_rows(z, xy, m):
     differently, so a row is trusted only if its kept distances lie below
     its last tree distance (no unfetched point is nearer) by a clear
     margin. Other rows, from ties and coincident points, are ranked over
-    all points.
+    all active points.
     """
+    z = np.array([points[i] for i in active], dtype=complex)
+    xy = np.column_stack([z.real, z.imag])
     n = len(z)
     k = min(m + 1, n)
     # the tree works on the points scaled by a power of two into the unit
@@ -266,7 +243,9 @@ def _nearest_rows(z, xy, m):
             dz = z - z[a]
             rest = np.argsort(np.hypot(dz.real, dz.imag), kind="stable")
             kept[a] = rest[rest != a][: m - 1]
-    return kept
+    act = np.array(active)
+    cands = np.sort(np.column_stack([act, act[kept]]), axis=1)
+    return sorted(set(map(tuple, cands.tolist())))
 
 
 def _modulus(z: complex) -> float:
@@ -293,7 +272,8 @@ def _score_candidate(points, cand, m, radius_cap):
     if rmax > radius_cap:
         return None
     rmin = min(dists)
-    if rmin <= COINCIDENT_RTOL * scale or rmax / rmin > RADIUS_BAND:
+    # radii all beyond the double range: their ratio inf / inf reads as inf
+    if rmin <= COINCIDENT_RTOL * scale or rmin == math.inf or rmax / rmin > RADIUS_BAND:
         return None
     angles = sorted(math.atan2((p - centroid).imag, (p - centroid).real) for p in pts)
     gaps = [b - a for a, b in zip(angles, angles[1:])]
@@ -354,17 +334,16 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     Before the scan at size m, each value held by c >= m active points
     yields floor(c / m) clusters of its lowest indices: exactly coincident
     candidates score best of all, and the nearest-neighbour candidates
-    cannot find them, since every distance among the copies ties. A long
+    cannot find them, since every distance among the copies ties. Every
     candidate list first passes _within_reach, which drops only candidates
-    that the scorer rejects.
+    that the scorer rejects. Each centroid is checked where it is computed.
     """
     points = [r for r, mult in roots for _ in range(mult)]
     active = set(range(len(points)))
     accepted: List[Item] = []
 
     def accept(cand, m):
-        centroid = sum(points[i] for i in cand) / m
-        accepted.append((centroid, m))
+        accepted.append((_centroid(sum(points[i] for i in cand), m), m))
         active.difference_update(cand)
 
     runs = _coincident_runs(points)
@@ -386,10 +365,8 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         else:
             cands = _knn_candidates(points, act, m)
         radius_cap = params.sigma ** (1.0 / m)
-        if len(cands) > _GATE_MIN_CANDIDATES:
-            cands = _within_reach(points, cands, m, radius_cap)
         scored = []
-        for cand in cands:
+        for cand in _within_reach(points, cands, m, radius_cap):
             score = _score_candidate(points, cand, m, radius_cap)
             if score is not None:
                 scored.append(score)
@@ -398,7 +375,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
             if all(i in active for i in cand):
                 accept(cand, m)
     singles = [(points[i], 1) for i in sorted(active)]
-    return RootList._trusted(accepted + singles, accepted)
+    return RootList._trusted(accepted + singles)
 
 
 def cluster(roots: RootList, params: ClusterParams) -> RootList:

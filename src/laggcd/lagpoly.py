@@ -42,9 +42,9 @@ def barycentric_weights(nodes) -> np.ndarray:
     return _weights(nodes)[0]
 
 
-def _weights(nodes) -> Tuple[np.ndarray, Optional[str]]:
-    """barycentric_weights, and the node note: the text on nearly
-    coincident nodes, or None."""
+def _weights(nodes) -> Tuple[np.ndarray, Optional[str], float]:
+    """barycentric_weights, the node note (the text on nearly coincident
+    nodes, or None) and the spread, the largest distance between nodes."""
     x = np.asarray(nodes, dtype=complex)
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
@@ -52,13 +52,13 @@ def _weights(nodes) -> Tuple[np.ndarray, Optional[str]]:
     if not finite.all():
         raise InvalidParameterError("nodes must be finite, got %s" % x[~finite][0])
     if len(x) == 1:
-        return np.ones(1, dtype=complex), None
+        return np.ones(1, dtype=complex), None, 0.0
     with np.errstate(all="ignore"):  # overflow and underflow are checked below
         diff = x[:, None] - x[None, :]
         gaps = np.abs(diff)
         np.fill_diagonal(diff, 1.0)
         weights = 1.0 / diff.prod(axis=1)
-    spread = gaps.max()
+    spread = float(gaps.max())
     if spread == np.inf:
         raise DegenerateInputError("node differences overflow (spread inf)")
     np.fill_diagonal(gaps, spread)  # so that the minimum is over pairs only
@@ -80,7 +80,7 @@ def _weights(nodes) -> Tuple[np.ndarray, Optional[str]]:
             "%d of the %d barycentric weights overflow or underflow "
             "(node spread %.3e)" % (bad, len(x), spread)
         )
-    return weights, note
+    return weights, note, spread
 
 
 class LagrangePoly:
@@ -89,9 +89,10 @@ class LagrangePoly:
     The nominal degree is len(nodes) - 1. Instances are immutable; the
     barycentric weights are computed on construction, which also checks
     the nodes; `note` is the node note, the text on nearly coincident
-    nodes, or None, and approximate_gcd reports it first in its warnings.
-    A LagrangePoly given as nodes lends its nodes, weights and note, which
-    are not checked again. A NaN or infinite value raises
+    nodes, or None, and approximate_gcd reports it first in its warnings;
+    `spread` is the largest distance between two nodes. A LagrangePoly
+    given as nodes lends its nodes, weights, note and spread, which are
+    not checked again. A NaN or infinite value raises
     InvalidParameterError.
     """
 
@@ -108,10 +109,13 @@ class LagrangePoly:
             raise InvalidParameterError(
                 "values must be finite, got %s" % values[~finite][0]
             )
-        weights, note = (base.weights, base.note) if base else _weights(nodes)
+        weights, note, spread = (
+            (base.weights, base.note, base.spread) if base else _weights(nodes)
+        )
         for arr in (nodes, values, weights):
             arr.flags.writeable = False
         self.nodes, self.values, self.weights = nodes, values, weights
+        self.spread = spread
         self._note = note
 
     @property
@@ -173,6 +177,15 @@ def _convert(root, mult) -> Tuple[complex, int]:
         ) from None
 
 
+def _centroid(total: complex, weight: int) -> complex:
+    """total / weight, a merged root; RootList's error where it is not
+    finite (a sum or quotient beyond the double range)."""
+    centroid = total / weight
+    if not cmath.isfinite(centroid):
+        raise InvalidParameterError("roots must be finite, got %r" % centroid)
+    return centroid
+
+
 def _order(entry: Tuple[complex, int]) -> Tuple[float, float]:
     """A RootList's sort key: the root's (real part, imaginary part)."""
     root = entry[0]
@@ -190,7 +203,8 @@ class RootList:
     1 (a bool included), raises InvalidParameterError.
 
     The stages build their outputs with RootList._trusted, which skips the
-    checks that their entries pass by construction.
+    checks that their entries pass by construction; each merged root is
+    checked where it is computed (_centroid).
     """
 
     __slots__ = ("entries",)
@@ -220,23 +234,14 @@ class RootList:
 
     @classmethod
     def _trusted(
-        cls,
-        entries: List[Tuple[complex, int]],
-        computed: Sequence[Tuple[complex, int]] = (),
-        ordered: bool = False,
+        cls, entries: List[Tuple[complex, int]], ordered: bool = False
     ) -> "RootList":
-        """A RootList of entries that are already (Python complex, int >= 1).
+        """A RootList of entries that are already finite Python complex
+        roots with int multiplicities >= 1, which are not checked again.
 
-        Only the roots of `computed`, the entries a stage computed (such as
-        centroids, which can overflow), are checked for finiteness; if one
-        is not finite, the first such root of entries raises __init__'s
-        error. The list entries is sorted in place, unless `ordered` says
-        that it is in a RootList's order already.
+        The list entries is sorted in place, unless `ordered` says that it
+        is in a RootList's order already.
         """
-        if not all(cmath.isfinite(root) for root, _ in computed):
-            for root, _ in entries:
-                if not cmath.isfinite(root):
-                    raise InvalidParameterError("roots must be finite, got %r" % root)
         if not ordered:
             entries.sort(key=_order)
         self = cls.__new__(cls)

@@ -124,8 +124,7 @@ def roots(p: LagrangePoly) -> RootfindReport:
     alpha, beta = _eigenvalues(p)
     beta_scale = max(1.0, float(np.abs(beta).max()))
     center = p.nodes.mean()
-    spread = float(np.abs(p.nodes[:, None] - p.nodes[None, :]).max())
-    spread = max(spread, 1.0)
+    spread = max(p.spread, 1.0)
 
     # The two smallest-|beta| eigenvalues are the pencil's structural
     # infinities; anything else with tiny beta or far outside the node

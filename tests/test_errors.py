@@ -229,6 +229,15 @@ DISTANCE_OVERFLOWS = {
         lambda: cluster_heuristic(RootList([(_HUGE, 1), (-_HUGE, 1)]), _HEURISTIC),
         RootList([(_HUGE, 1), (-_HUGE, 1)]),
     ),
+    # no radius cap at sigma inf: the ratio of the two overflowing radii,
+    # inf / inf, reads as inf and rejects the pair
+    "heuristic_sigma_inf": (
+        lambda: cluster_heuristic(
+            RootList([(_HUGE, 1), (-_HUGE, 1)]),
+            ClusterParams(sigma=INF, strategy="heuristic"),
+        ),
+        RootList([(_HUGE, 1), (-_HUGE, 1)]),
+    ),
     "graph": (
         lambda: build_graph(RootList([(0j, 1)]), RootList([(_FAR, 1)]), 1.7e308).edges,
         (),
