@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,9 +39,9 @@ COINCIDENT_RTOL = 1e-13
 # points; beyond it, nearest-neighbour candidate sets keep the cost down.
 ENUMERATION_LIMIT = 12
 # A kd-tree row is re-ranked exactly and trusted only when its kept
-# distances sit this far (relatively) below its last tree distance, and
-# that distance (in the tree's scaled units) is too large for its square
-# to underflow.
+# distances sit this far (relatively) below its bound (its last tree
+# distance, or the query's reach, which is widened as far), and that bound
+# (in the tree's scaled units) is too large for its square to underflow.
 _KD_MARGIN = 1e-9
 _KD_TINY = 1e-150
 
@@ -205,46 +205,110 @@ def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     return RootList._trusted(_dnc(q, first, 0, len(q), sigma, slack), ordered=True)
 
 
-def _knn_candidates(points, active, m):
-    """Each active point with its m - 1 nearest active neighbours, ranked
-    by (abs(points[j] - points[i]), j) as a sort over all of them would.
+class _Nearest(NamedTuple):
+    """A kd-tree query of some points' nearest neighbours (_nearest)."""
 
-    One cKDTree query fetches m + 1 neighbours of every point; they are
-    re-ranked exactly with np.hypot, which equals Python's abs(complex) bit
-    for bit (np.abs on complex does not). The tree's distances round
-    differently, so a row is trusted only if its kept distances lie below
-    its last tree distance (no unfetched point is nearer) by a clear
-    margin. Other rows, from ties and coincident points, are ranked over
-    all active points.
+    index: np.ndarray  # the points' indices, ascending
+    z: np.ndarray  # their values, and a 0 that stands for no neighbour
+    near: np.ndarray  # each point's fetched neighbours by position, len(index) for none
+    bound: np.ndarray  # each point's tree distance below which it fetched them all
+    scale: int  # each coordinate lies below 2**scale in magnitude
+
+
+def _unit_reach(scale: int, m: int, radius_cap: float) -> float:
+    """The distance, in units of 2**scale, beyond which a point's (m - 1)-th
+    nearest neighbour makes its m-point candidate one that _within_reach
+    drops, for points whose coordinates lie below 2**scale in magnitude.
+
+    Their moduli lie below top = 2**(scale + 1). A candidate holds its
+    point and that neighbour, so its radius is at least half their
+    distance, and numpy's radius in _within_reach lies within 8m units of
+    roundoff times top of the exact one. So the reach is
+    2 (limit + 8m eps top), with _within_reach's own limit at top, widened
+    by a margin against the tree's rounding. The gate keeps a candidate
+    whose radius overflows, which takes sums of up to m moduli of top, so
+    the reach is inf where those can, and where it lies beyond the double
+    range.
     """
-    z = np.array([points[i] for i in active], dtype=complex)
-    xy = np.column_stack([z.real, z.imag])
-    n = len(z)
+    try:
+        top = math.ldexp(2.0, scale)
+        reach = 2 * (_radius_limit(radius_cap, m, top) + 8 * m * _EPS * top)
+        if 2 * m * top < math.inf:
+            return math.ldexp(reach, -scale) * (1 + _KD_MARGIN)
+    except OverflowError:
+        pass
+    return math.inf
+
+
+def _nearest(points, active, m, radius_cap) -> _Nearest:
+    """One cKDTree query that serves the candidates of sizes m and below:
+    up to m + 1 neighbours of every active point, within the reach of size
+    m at radius_cap, the largest cap of those sizes (all of them where that
+    reach is not finite)."""
+    z = np.array([points[i] for i in active] + [0], dtype=complex)
+    xy = np.column_stack([z.real, z.imag])[:-1]
+    n = len(xy)
     k = min(m + 1, n)
     # the tree works on the points scaled by a power of two into the unit
     # square, so that its squared distances cannot overflow
-    scale = np.frexp(np.abs(xy).max())[1]
+    scale = int(np.frexp(np.abs(xy).max())[1])
     unit = np.ldexp(xy, -scale)
-    tree_dist, near = cKDTree(unit).query(unit, k=k)
-    own = near == np.arange(n)[:, None]
-    # a distance, or the tree's bound scaled back, beyond the double range
-    # is inf
+    upper = _unit_reach(scale, m, radius_cap)
+    tree_dist, near = cKDTree(unit).query(unit, k=k, distance_upper_bound=upper)
+    # a point fetched every neighbour nearer than its last tree distance,
+    # or than the reach where it fetched fewer than k; with k = n, all
+    full = near[:, -1] < n
+    bound = np.where(full, math.inf if k == n else tree_dist[:, -1], upper)
+    near[near == np.arange(n)[:, None]] = n  # a point is not its own neighbour
+    return _Nearest(np.array(active), z, near, bound, scale)
+
+
+def _knn_candidates(points, active, m, radius_cap=math.inf, nearest=None):
+    """Each active point with its m - 1 nearest active neighbours, ranked
+    by (abs(points[j] - points[i]), j) as a sort over all of them would,
+    for every point whose candidate _within_reach may keep at radius_cap.
+
+    The neighbours come from nearest, a query of these active points or of
+    more (made here if none is given). A point that fetched fewer than
+    m - 1 active neighbours and every point within the reach of size m
+    (_unit_reach) gives no candidate. Where a point fetched fewer because
+    its neighbours have left the active set since the query, and others
+    may lie within the reach, the query is made again over the active
+    points. The rest are re-ranked exactly with np.hypot, which equals
+    Python's abs(complex) bit for bit (np.abs on complex does not). The
+    tree's distances round differently, so a row is trusted only if its
+    kept distances lie below its bound by a clear margin. Other rows, from
+    ties and coincident points, are ranked over all active points.
+    """
+    if nearest is None:
+        nearest = _nearest(points, active, m, radius_cap)
+    index, z, near, bound, scale = nearest
+    n = len(index)
+    live = np.zeros(n + 1, dtype=bool)  # the last entry stands for no neighbour
+    live[np.searchsorted(index, active)] = True
+    fetched = live[near]
+    short = live[:n] & (fetched.sum(axis=1) < m - 1)
+    if (short & (bound < _unit_reach(scale, m, radius_cap))).any():
+        # neighbours within the reach have left since the query
+        return _knn_candidates(points, active, m, radius_cap)
+    rows = np.flatnonzero(live[:n] & ~short)
+    if not len(rows):
+        return []
+    near, bound, fetched = near[rows], bound[rows], fetched[rows]
+    # a distance, or a bound scaled back, beyond the double range is inf
     with np.errstate(over="ignore"):
-        dz = z[near] - z[:, None]
-        dist = np.where(own, np.inf, np.hypot(dz.real, dz.imag))
-        order = np.lexsort((np.where(own, n, near), dist))[:, : m - 1]
+        dz = z[near] - z[rows, None]
+        dist = np.where(fetched, np.hypot(dz.real, dz.imag), np.inf)
+        order = np.lexsort((np.where(fetched, near, n), dist))[:, : m - 1]
         kept = np.take_along_axis(near, order, axis=1)
         last = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
-        bound = tree_dist[:, -1]
-        trusted = (k == n) | (
-            (last < np.ldexp(bound, scale) * (1 - _KD_MARGIN)) & (bound > _KD_TINY)
-        )
-        for a in np.flatnonzero(~trusted):
-            dz = z - z[a]
-            rest = np.argsort(np.hypot(dz.real, dz.imag), kind="stable")
-            kept[a] = rest[rest != a][: m - 1]
-    act = np.array(active)
-    cands = np.sort(np.column_stack([act, act[kept]]), axis=1)
+        trusted = (last < np.ldexp(bound, scale) * (1 - _KD_MARGIN)) & (bound > _KD_TINY)
+        alive = np.flatnonzero(live)
+        for r in np.flatnonzero(~trusted):
+            dz = z[alive] - z[rows[r]]
+            rest = alive[np.argsort(np.hypot(dz.real, dz.imag), kind="stable")]
+            kept[r] = rest[rest != rows[r]][: m - 1]
+    cands = np.sort(np.column_stack([index[rows], index[kept]]), axis=1)
     return sorted(set(map(tuple, cands.tolist())))
 
 
@@ -287,6 +351,12 @@ def _score_candidate(points, cand, m, radius_cap):
     return (gap_dev, rmax / rmin, rmax, cand)
 
 
+def _radius_limit(radius_cap, m, top):
+    """The radius above which _within_reach drops an m-point candidate
+    whose points have moduli at most top."""
+    return max(radius_cap, COINCIDENT_RTOL * max(1.0, top)) + 8 * m * _EPS * top
+
+
 def _within_reach(points, cands, m, radius_cap):
     """The candidates that _score_candidate may accept: every candidate but
     those whose radius (the largest distance of its points from their
@@ -301,11 +371,13 @@ def _within_reach(points, cands, m, radius_cap):
     the scorer could accept. Since the scorer alone decides the rest, the
     accepted clusters are those of scoring every candidate.
     """
+    if not cands:
+        return []
     z = np.array(points, dtype=complex)[np.array(cands, dtype=np.intp)]
     x, y = z.real, z.imag
     with np.errstate(all="ignore"):  # overflow keeps the candidate, below
         top = float(np.hypot(x, y).max())
-        limit = max(radius_cap, COINCIDENT_RTOL * max(1.0, top)) + 8 * m * _EPS * top
+        limit = _radius_limit(radius_cap, m, top)
         sx, sy = x[:, 0].copy(), y[:, 0].copy()
         for k in range(1, m):
             sx += x[:, k]
@@ -336,7 +408,10 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     candidates score best of all, and the nearest-neighbour candidates
     cannot find them, since every distance among the copies ties. Every
     candidate list first passes _within_reach, which drops only candidates
-    that the scorer rejects. Each centroid is checked where it is computed.
+    that the scorer rejects. Above ENUMERATION_LIMIT points the candidates
+    come from one kd-tree query (_nearest), made at the first size that
+    needs it and bounded by the farthest neighbour that can pass that gate
+    at any size left. Each centroid is checked where it is computed.
     """
     points = [r for r, mult in roots for _ in range(mult)]
     active = set(range(len(points)))
@@ -347,6 +422,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         active.difference_update(cand)
 
     runs = _coincident_runs(points)
+    nearest = None
     for m in range(min(params.max_multiplicity, len(points)), 1, -1):
         if len(active) < m:
             continue
@@ -360,11 +436,13 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         if len(active) < m:
             continue
         act = sorted(active)
+        radius_cap = params.sigma ** (1.0 / m)
         if len(act) <= ENUMERATION_LIMIT:
             cands = list(combinations(act, m))
         else:
-            cands = _knn_candidates(points, act, m)
-        radius_cap = params.sigma ** (1.0 / m)
+            if nearest is None:  # one query serves every size from m down
+                nearest = _nearest(points, act, m, max(radius_cap, params.sigma**0.5))
+            cands = _knn_candidates(points, act, m, radius_cap, nearest)
         scored = []
         for cand in _within_reach(points, cands, m, radius_cap):
             score = _score_candidate(points, cand, m, radius_cap)

@@ -50,6 +50,15 @@ class Matching:
         return sum(e.weight for e in self.edges)
 
 
+# From this many roots of P up, build_graph sweeps in numpy; below it,
+# numpy's fixed cost per call (about 25 us) outweighs the Python sweep.
+_NUMPY_SWEEP_MIN_N = 64
+# The numpy sweep tests at most about this many window pairs at a time (a
+# window is never split), so that its memory does not grow with |P| x |Q|
+# when many roots share a real part.
+_PAIR_BLOCK = 1 << 16
+
+
 def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGraph:
     """All root pairs within sigma, weighted by min multiplicity.
 
@@ -57,15 +66,22 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
     keeps them so), so each P root bisects the window of real parts within
     sigma of its own and tests only that window, with the exact test
     abs(r - s) <= sigma. The window is widened by a few ulps (real_slack)
-    so that rounding cannot drop a pair, and it is visited in ascending index, so
-    the edges and their (i, j) order are those of the all-pairs scan.
+    so that rounding cannot drop a pair, and it is visited in ascending
+    index, so the edges and their (i, j) order are those of the all-pairs
+    scan. From _NUMPY_SWEEP_MIN_N roots of P up, the sweep runs in numpy.
     """
     check_sigma(sigma)
-    right = roots_q.entries
+    left, right = roots_p.entries, roots_q.entries
+    slack = real_slack(left, sigma)
+    sweep = _numpy_sweep if len(left) >= _NUMPY_SWEEP_MIN_N else _python_sweep
+    edges = tuple(sweep(left, right, sigma, slack))
+    return MatchGraph(left=roots_p, right=roots_q, edges=edges)
+
+
+def _python_sweep(left, right, sigma, slack) -> List[Edge]:
     reals = [s.real for s, _ in right]
-    slack = real_slack(roots_p.entries, sigma)
-    edges: List[Edge] = []
-    for i, (r, dr) in enumerate(roots_p):
+    edges = []
+    for i, (r, dr) in enumerate(left):
         lo = bisect_left(reals, r.real - slack)
         hi = bisect_right(reals, r.real + slack)
         for j in range(lo, hi):
@@ -76,7 +92,35 @@ def build_graph(roots_p: RootList, roots_q: RootList, sigma: float) -> MatchGrap
                 d = math.inf
             if d <= sigma:
                 edges.append(Edge(i, j, min(dr, ds), d))
-    return MatchGraph(left=roots_p, right=roots_q, edges=tuple(edges))
+    return edges
+
+
+def _numpy_sweep(left, right, sigma, slack) -> List[Edge]:
+    """_python_sweep for all P roots at once: np.searchsorted takes the
+    windows bisect takes, and np.hypot equals abs(complex) bit for bit; a
+    difference or distance beyond the double range is inf."""
+    zp = np.array([r for r, _ in left], dtype=complex)
+    zq = np.array([s for s, _ in right], dtype=complex)
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(zq.real, zp.real - slack, "left")
+        hi = np.searchsorted(zq.real, zp.real + slack, "right")
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    first = ends - counts  # window i holds pairs first[i] to ends[i]
+    edges = []
+    a = 0
+    while a < len(zp):  # windows a to b, about _PAIR_BLOCK pairs
+        b = max(a + 1, int(np.searchsorted(ends, first[a] + _PAIR_BLOCK, "right")))
+        rows = np.repeat(np.arange(a, b), counts[a:b])
+        cols = lo[rows] + np.arange(first[a], ends[b - 1]) - first[rows]
+        with np.errstate(over="ignore"):
+            dz = zp[rows] - zq[cols]
+            dist = np.hypot(dz.real, dz.imag)
+        hit = dist <= sigma
+        for i, j, d in zip(rows[hit].tolist(), cols[hit].tolist(), dist[hit].tolist()):
+            edges.append(Edge(i, j, min(left[i][1], right[j][1]), d))
+        a = b
+    return edges
 
 
 def greedy_mwm(g: MatchGraph) -> Matching:

@@ -182,6 +182,16 @@ CENTROID_OVERFLOWS = {
         RootList(_HUGE_PAIR + [(complex(k, k * k % 7), 1) for k in range(30)]),
         _HEURISTIC,
     ),
+    # five points near 4e307, 1e306 apart: their sum overflows, so the
+    # radius gate reads their candidate's radius as inf and keeps it, and
+    # the kNN search must fetch it though they lie beyond the gate's limit
+    "heuristic_knn_sum": lambda: cluster_heuristic(
+        RootList(
+            [(4e307 + k * 1e306, 1) for k in range(5)]
+            + [(complex(k, k * k % 7), 1) for k in range(30)]
+        ),
+        ClusterParams(sigma=1e308, max_multiplicity=5, strategy="heuristic"),
+    ),
     "assemble_gcd": _overflow_gcd,
     # their distance 2e308 is inf, within sigma inf
     "dnc_distance_overflow": lambda: cluster_dnc(

@@ -13,6 +13,7 @@ where its optimal assignment is unique; elsewhere to 1e-15 relative).
 
 import importlib
 import math
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -21,6 +22,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
 from laggcd import (
     ClusterParams,
@@ -32,12 +34,14 @@ from laggcd import (
     root_pseudometric,
 )
 from laggcd.cluster import ENUMERATION_LIMIT, _knn_candidates
-from laggcd.matching import Edge
+from laggcd.lagpoly import real_slack
+from laggcd.matching import _NUMPY_SWEEP_MIN_N, _PAIR_BLOCK, Edge
 from laggcd.metric import _PAIR_FIRST_MIN_N, _bottleneck, _unshared
 
 # the package re-exports the function `cluster` under the module's name
 cluster_mod = importlib.import_module("laggcd.cluster")
 metric_mod = importlib.import_module("laggcd.metric")
+matching_mod = importlib.import_module("laggcd.matching")
 
 
 # ---------------------------------------------------------------- oracles
@@ -415,6 +419,62 @@ class TestHeuristic:
                 for c in dropped
             )
 
+    def test_gate_on_no_candidates(self):
+        assert cluster_mod._within_reach([1 + 0j, 2 + 0j], [], 2, 0.1) == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_512_root_clouds_with_planted_triples(self, seed):
+        # 85 triples of radius 1e-4 among 257 other points: at sigma 1e-9
+        # (triple cap 1e-3) most points fetch no neighbour within the reach
+        rng = np.random.default_rng([25, seed])
+        roots = RootList((complex(z), 1) for z in planted(rng, 512, 1e-4))
+        for sigma in (1e-12, 1e-9, 1e-6):
+            out = assert_heuristic_parity(roots, sigma)
+        assert sum(mult == 3 for _, mult in out) >= 80
+
+    @pytest.mark.parametrize("sigma", [1e-2, 10.0])
+    def test_dense_sigma(self, sigma):
+        # at sigma 10 the reach of both sizes covers the whole cloud; at
+        # 1e-2 the triples taken at size 3 leave rows with no neighbour
+        # fetched for size 2, and the query is made again
+        rng = np.random.default_rng(26)
+        roots = RootList((complex(z), 1) for z in planted(rng, 300, 1e-2))
+        assert_heuristic_parity(roots, sigma)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_clouds_at_extreme_scales(self, scale):
+        # at 1e200 no finite sigma's cap reaches a radius of 1e-4 * scale,
+        # and the coincidence bound sets the reach; at 1e-200 every reach
+        # covers the cloud
+        rng = np.random.default_rng(27)
+        for radius in (1e-15, 1e-4):
+            z = planted(rng, 120, radius * scale, scale=scale)
+            roots = RootList((complex(r), 1) for r in z)
+            for sigma in (0.0, 1e-9, 1e300, math.inf):
+                assert_heuristic_parity(roots, sigma)
+
+    def test_fetched_neighbours_all_taken_at_size_three(self, monkeypatch):
+        # per gadget a triple of radius 1e-4 about c, a point p at 2.5e-4
+        # from c whose three nearest neighbours are the triple, and q, 4e-4
+        # beyond p: once the triples are taken, p fetched no neighbour left
+        # although q lies within the pair's reach, so the query is made
+        # again over the 32 points left, and (p, q) is found
+        points = []
+        for k in range(16):
+            c = complex(0.05 * (k % 4), 0.05 * (k // 4))
+            points += [c + 1e-4 * np.exp(1j * (0.3 + 2 * np.pi * j / 3)) for j in range(3)]
+            points += [c + 2.5e-4 * np.exp(0.3j), c + 6.5e-4 * np.exp(0.3j)]
+        roots = RootList((complex(z), 1) for z in points)
+        query, queried = cluster_mod._nearest, []
+        monkeypatch.setattr(
+            cluster_mod, "_nearest", lambda *a: queried.append(len(a[1])) or query(*a)
+        )
+        cluster_heuristic(roots, ClusterParams(sigma=1e-7, strategy="heuristic"))
+        assert queried == [80, 32]
+        monkeypatch.undo()
+        out = assert_heuristic_parity(roots, 1e-7)
+        assert sorted(mult for _, mult in out) == [2] * 16 + [3] * 16
+
 
 # ---------------------------------------------------------------- build_graph
 
@@ -481,6 +541,77 @@ class TestBuildGraph:
         assert edges == oracle_edges(p, q, 0.02)
         assert len(edges) > 1000
 
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["python", "numpy"])
+    def test_either_side_of_numpy_threshold(self, offset):
+        rng = np.random.default_rng(10)
+        n = _NUMPY_SWEEP_MIN_N + offset
+        for _ in range(4):
+            p = with_mults(rng, cloud(rng, n))
+            q = with_mults(rng, cloud(rng, int(rng.integers(0, 2 * n))))
+            for sigma in (1e-3, 0.05, 0.3):
+                assert build_graph(p, q, sigma).edges == oracle_edges(p, q, sigma)
+
+    @pytest.mark.parametrize("sigma", [1.7e308, math.inf])
+    def test_distances_beyond_the_double_range(self, monkeypatch, sigma):
+        # abs(r - s) raises OverflowError on many of these pairs, so the
+        # Python sweep, which reads it as inf, is the reference
+        rng = np.random.default_rng(11)
+        big = 1.5e308 * cloud(rng, 80)
+        p, q = with_mults(rng, big[:70]), with_mults(rng, np.concatenate([big[70:], -big[:60]]))
+        monkeypatch.setattr(matching_mod, "_NUMPY_SWEEP_MIN_N", 10**9)
+        ref = build_graph(p, q, sigma).edges
+        monkeypatch.undo()
+        assert build_graph(p, q, sigma).edges == ref
+        assert any(e.distance == math.inf for e in ref) == (sigma == math.inf)
+        assert any(e.distance > 1e308 for e in ref)
+
+    def test_window_ends_beyond_the_double_range(self, monkeypatch):
+        # 1e308 + sigma is the largest double, and real_slack's few ulps
+        # carry the window's ends past it
+        sigma = sys.float_info.max - 1e308
+        rng = np.random.default_rng(16)
+        z = np.concatenate([[1e308, -1e308, 1e308 + 1e307j], cloud(rng, 70)])
+        p, q = with_mults(rng, z[:64]), with_mults(rng, -z[::-1])
+        assert real_slack(p.entries, sigma) + 1e308 == math.inf
+        monkeypatch.setattr(matching_mod, "_NUMPY_SWEEP_MIN_N", 10**9)
+        ref = build_graph(p, q, sigma).edges
+        monkeypatch.undo()
+        assert build_graph(p, q, sigma).edges == ref
+
+    @pytest.mark.parametrize("block", [7, _PAIR_BLOCK], ids=["blocks", "one"])
+    def test_q_on_one_real_part(self, monkeypatch, block):
+        # every P root near real part 0.25 has all of Q in its window,
+        # which the sweep takes in blocks of about `block` pairs
+        monkeypatch.setattr(matching_mod, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(12)
+        zp = np.concatenate([0.25 + 1j * cloud(rng, 40, False), cloud(rng, 60)])
+        p = with_mults(rng, zp)
+        q = with_mults(rng, 0.25 + 1j * cloud(rng, 100, False))
+        for sigma in (0.0, 0.01, 0.5):
+            assert build_graph(p, q, sigma).edges == oracle_edges(p, q, sigma)
+        assert len(build_graph(p, q, 0.5).edges) > 1000
+
+    def test_signed_zeros(self):
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        rng = np.random.default_rng(13)
+        p = RootList((z, 1 + k % 3) for k, z in enumerate(zeros + list(cloud(rng, 70))))
+        q = RootList((z, 2) for z in zeros + [-0.0 + 1e-300j] + list(cloud(rng, 70)))
+        assert len(p) >= _NUMPY_SWEEP_MIN_N
+        for sigma in (0.0, 5e-324, 1e-3):
+            edges = build_graph(p, q, sigma).edges
+            assert edges == oracle_edges(p, q, sigma)
+        assert sum(e.distance == 0.0 for e in build_graph(p, q, 0.0).edges) == 16
+
+    def test_sigma_zero_and_infinite_at_size(self):
+        rng = np.random.default_rng(14)
+        z = cloud(rng, 90)
+        p = with_mults(rng, np.concatenate([z[:60], z[:10]]))
+        q = with_mults(rng, np.concatenate([z[50:], z[:5]]))
+        for sigma in (0.0, math.inf):
+            edges = build_graph(p, q, sigma).edges
+            assert edges == oracle_edges(p, q, sigma)
+        assert len(build_graph(p, q, math.inf).edges) == len(p) * len(q)
+
 
 # ---------------------------------------------------------------- kNN candidates
 
@@ -538,7 +669,11 @@ class TestKnnCandidates:
         roots = RootList((complex(z), 1) for z in points[:count])
         params = ClusterParams(sigma=1e-9, strategy="heuristic")
         fast = cluster_heuristic(roots, params)
-        monkeypatch.setattr(cluster_mod, "_knn_candidates", oracle_knn)
+        monkeypatch.setattr(
+            cluster_mod,
+            "_knn_candidates",
+            lambda points, active, m, radius_cap, nearest: oracle_knn(points, active, m),
+        )
         assert cluster_heuristic(roots, params) == fast
 
     def test_heuristic_clouds_with_triples(self, monkeypatch):
@@ -548,7 +683,11 @@ class TestKnnCandidates:
         roots = RootList((complex(z), 1) for z in list(centers[10:]) + pts)
         params = ClusterParams(sigma=1e-9, strategy="heuristic", max_multiplicity=4)
         fast = cluster_heuristic(roots, params)
-        monkeypatch.setattr(cluster_mod, "_knn_candidates", oracle_knn)
+        monkeypatch.setattr(
+            cluster_mod,
+            "_knn_candidates",
+            lambda points, active, m, radius_cap, nearest: oracle_knn(points, active, m),
+        )
         assert cluster_heuristic(roots, params) == fast
 
     def test_2048_point_cloud(self):
@@ -556,6 +695,31 @@ class TestKnnCandidates:
         points = [complex(z) for z in cloud(rng, 2048)]
         active = list(range(2048))
         assert _knn_candidates(points, active, 3) == oracle_knn(points, active, 3)
+
+    def test_queries_fetch_at_most_m_plus_1_a_point(self, monkeypatch):
+        # 2048 uniform points at sigma 1e-2, where the reach holds many
+        # points: each query fetches at most m + 1 neighbours a point, and
+        # no all-pairs search (a tree with only `query`) is made
+        fetched = []
+
+        class Tree:
+            def __init__(self, data):
+                self.tree = cKDTree(data)
+
+            def query(self, x, k, **kw):
+                dist, near = self.tree.query(x, k=k, **kw)
+                fetched.append((near.size, len(x)))
+                return dist, near
+
+        rng = np.random.default_rng(15)
+        roots = RootList((complex(z), 1) for z in cloud(rng, 2048))
+        params = ClusterParams(sigma=1e-2, strategy="heuristic")
+        monkeypatch.setattr(cluster_mod, "cKDTree", Tree)
+        out = cluster_heuristic(roots, params)
+        monkeypatch.undo()
+        assert fetched[0] == (2048 * 4, 2048)
+        assert all(size <= count * 4 for size, count in fetched)
+        assert out == oracle_heuristic(roots, params)
 
 
 # ---------------------------------------------------------------- bottleneck
