@@ -171,7 +171,7 @@ def approximate_gcd(
     No output polynomial is built here; AgcdResult builds them on read.
     """
     for poly, name in ((p, "P"), (q, "Q")):
-        if np.max(np.abs(poly.values)) == 0.0:
+        if poly.peak == 0.0:
             raise ZeroPolynomialError("%s is identically zero; GCD undefined" % name)
     if matcher not in ("greedy", "exact"):
         raise InvalidParameterError("matcher must be 'greedy' or 'exact'")

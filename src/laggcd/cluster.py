@@ -15,6 +15,7 @@ Two interchangeable strategies:
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -244,8 +245,9 @@ def _nearest(points, active, m, radius_cap) -> _Nearest:
     """One cKDTree query that serves the candidates of sizes m and below:
     up to m + 1 neighbours of every active point, within the reach of size
     m at radius_cap, the largest cap of those sizes (all of them where that
-    reach is not finite)."""
-    z = np.array([points[i] for i in active] + [0], dtype=complex)
+    reach is not finite). points is a complex sequence or array."""
+    index = np.array(active)
+    z = np.append(np.asarray(points, dtype=complex)[index], 0)
     xy = np.column_stack([z.real, z.imag])[:-1]
     n = len(xy)
     k = min(m + 1, n)
@@ -260,7 +262,7 @@ def _nearest(points, active, m, radius_cap) -> _Nearest:
     full = near[:, -1] < n
     bound = np.where(full, math.inf if k == n else tree_dist[:, -1], upper)
     near[near == np.arange(n)[:, None]] = n  # a point is not its own neighbour
-    return _Nearest(np.array(active), z, near, bound, scale)
+    return _Nearest(index, z, near, bound, scale)
 
 
 def _knn_candidates(points, active, m, radius_cap=math.inf, nearest=None):
@@ -369,11 +371,12 @@ def _within_reach(points, cands, m, radius_cap):
     most (3m + 12) units of roundoff times top, the largest modulus of a
     candidate's point, so a margin of 16m such units keeps every candidate
     the scorer could accept. Since the scorer alone decides the rest, the
-    accepted clusters are those of scoring every candidate.
+    accepted clusters are those of scoring every candidate. points is a
+    complex sequence or array.
     """
     if not cands:
         return []
-    z = np.array(points, dtype=complex)[np.array(cands, dtype=np.intp)]
+    z = np.asarray(points, dtype=complex)[np.array(cands, dtype=np.intp)]
     x, y = z.real, z.imag
     with np.errstate(all="ignore"):  # overflow keeps the candidate, below
         top = float(np.hypot(x, y).max())
@@ -389,11 +392,16 @@ def _within_reach(points, cands, m, radius_cap):
 
 
 def _coincident_runs(points) -> List[List[int]]:
-    """Indices of each value that occurs more than once, ascending."""
-    runs = {}
-    for i, p in enumerate(points):
-        runs.setdefault(p, []).append(i)
-    return [run for run in runs.values() if len(run) > 1]
+    """Indices of each value that occurs more than once, ascending.
+
+    points, a complex sequence or array, is in a RootList's order, so that
+    equal values are adjacent.
+    """
+    z = np.asarray(points, dtype=complex)
+    # +1 where a run of equal values starts, -1 after its last index
+    edge = np.diff(np.concatenate(([0], z[1:] == z[:-1], [0])).astype(np.int8))
+    starts, stops = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) + 1
+    return [list(range(a, b)) for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
@@ -413,7 +421,8 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     needs it and bounded by the farthest neighbour that can pass that gate
     at any size left. Each centroid is checked where it is computed.
     """
-    points = [r for r, mult in roots for _ in range(mult)]
+    z = roots.expand()
+    points = z.tolist()
     active = set(range(len(points)))
     accepted: List[Item] = []
 
@@ -421,7 +430,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         accepted.append((_centroid(sum(points[i] for i in cand), m), m))
         active.difference_update(cand)
 
-    runs = _coincident_runs(points)
+    runs = _coincident_runs(z)
     nearest = None
     for m in range(min(params.max_multiplicity, len(points)), 1, -1):
         if len(active) < m:
@@ -441,10 +450,10 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
             cands = list(combinations(act, m))
         else:
             if nearest is None:  # one query serves every size from m down
-                nearest = _nearest(points, act, m, max(radius_cap, params.sigma**0.5))
+                nearest = _nearest(z, act, m, max(radius_cap, params.sigma**0.5))
             cands = _knn_candidates(points, act, m, radius_cap, nearest)
         scored = []
-        for cand in _within_reach(points, cands, m, radius_cap):
+        for cand in _within_reach(z, cands, m, radius_cap):
             score = _score_candidate(points, cand, m, radius_cap)
             if score is not None:
                 scored.append(score)
@@ -452,8 +461,12 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         for _, _, _, cand in scored:
             if all(i in active for i in cand):
                 accept(cand, m)
-    singles = [(points[i], 1) for i in sorted(active)]
-    return RootList._trusted(accepted + singles)
+    # the singles are in order; each cluster goes before any equal entry,
+    # the last first, as a stable sort of accepted + singles would place it
+    out = [(points[i], 1) for i in sorted(active)]
+    for entry in reversed(sorted(accepted, key=_order)):
+        out.insert(bisect.bisect_left(out, _order(entry), key=_order), entry)
+    return RootList._trusted(out, ordered=True)
 
 
 def cluster(roots: RootList, params: ClusterParams) -> RootList:

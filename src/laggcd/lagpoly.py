@@ -8,9 +8,10 @@ converts to monomial coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 import operator
 import sys
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .errors import (
 DUPLICATE_GAP_RTOL = 1e-12
 NEAR_DUPLICATE_GAP_RTOL = 1e-8
 _EPS = sys.float_info.epsilon
+# How many distinct node sets _node_set keeps, the most recently used; an
+# entry holds three arrays of the node count.
+_NODE_SETS = 64
 
 
 def barycentric_weights(nodes) -> np.ndarray:
@@ -83,22 +87,54 @@ def _weights(nodes) -> Tuple[np.ndarray, Optional[str], float]:
     return weights, note, spread
 
 
+class _NodeSet(NamedTuple):
+    """What a polynomial's nodes alone determine, computed once per
+    distinct node array (_node_set). The arrays are read-only."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    note: Optional[str]
+    spread: float
+    center: complex  # nodes.mean(), the centre of roots()' far field
+    column: np.ndarray  # weights / max|w|, column 0 of the scaled pencil
+    real: bool  # neither nodes nor column has an imaginary part
+
+
+@functools.lru_cache(maxsize=_NODE_SETS)
+def _node_set(key: bytes) -> _NodeSet:
+    """The node set of the complex128 nodes whose bytes are key, checked
+    by _weights.
+
+    Cached on key, so that equal nodes share one record; nodes that differ
+    only in the sign of a zero differ in their bytes and get their own.
+    An error is not cached, so it is raised again on every call.
+    """
+    nodes = np.frombuffer(key, dtype=complex)  # read-only, held by the key
+    weights, note, spread = _weights(nodes)
+    column = weights / np.abs(weights).max()
+    weights.flags.writeable = column.flags.writeable = False
+    real = not (nodes.imag.any() or column.imag.any())
+    return _NodeSet(nodes, weights, note, spread, nodes.mean(), column, real)
+
+
 class LagrangePoly:
     """A polynomial given by samples (nodes[k], values[k]) at distinct nodes.
 
-    The nominal degree is len(nodes) - 1. Instances are immutable; the
-    barycentric weights are computed on construction, which also checks
-    the nodes; `note` is the node note, the text on nearly coincident
-    nodes, or None, and approximate_gcd reports it first in its warnings;
-    `spread` is the largest distance between two nodes. A LagrangePoly
-    given as nodes lends its nodes, weights, note and spread, which are
-    not checked again. A NaN or infinite value raises
+    The nominal degree is len(nodes) - 1. Instances are immutable. What
+    the nodes alone determine is computed once per distinct node array
+    and shared by every LagrangePoly on equal nodes, from a cache of the
+    most recently used node sets: the barycentric weights, which also
+    check the nodes; `note`, the node note, the text on nearly coincident
+    nodes, or None, which approximate_gcd reports first in its warnings;
+    and `spread`, the largest distance between two nodes. A LagrangePoly
+    given as nodes lends its node set, which is not looked up again.
+    `peak` is the largest |value|. A NaN or infinite value raises
     InvalidParameterError.
     """
 
     def __init__(self, nodes, values):
         base = nodes if isinstance(nodes, LagrangePoly) else None
-        nodes = base.nodes if base else np.array(nodes, dtype=complex)
+        nodes = base.nodes if base else np.asarray(nodes, dtype=complex)
         values = np.array(values, dtype=complex)
         if nodes.ndim != 1 or values.ndim != 1:
             raise InvalidParameterError("nodes and values must be 1-d sequences")
@@ -109,18 +145,15 @@ class LagrangePoly:
             raise InvalidParameterError(
                 "values must be finite, got %s" % values[~finite][0]
             )
-        weights, note, spread = (
-            (base.weights, base.note, base.spread) if base else _weights(nodes)
-        )
-        for arr in (nodes, values, weights):
-            arr.flags.writeable = False
-        self.nodes, self.values, self.weights = nodes, values, weights
-        self.spread = spread
-        self._note = note
+        node_set = base._node_set if base else _node_set(nodes.tobytes())
+        values.flags.writeable = False
+        self.nodes, self.values, self.weights = node_set.nodes, values, node_set.weights
+        self.spread, self.peak = node_set.spread, float(np.abs(values).max())
+        self._node_set = node_set
 
     @property
     def note(self) -> Optional[str]:
-        return self._note
+        return self._node_set.note
 
     @property
     def degree(self) -> int:

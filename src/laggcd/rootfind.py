@@ -4,8 +4,8 @@ The degree-n polynomial sampled at n+1 nodes is embedded in an
 (n+2) x (n+2) pencil (C0, C1) whose finite generalized eigenvalues are the
 polynomial's roots; det(z*C1 - C0) equals the interpolant at z. The pencil
 carries two eigenvalues at infinity which are filtered after the solve.
-The solver works on a copy whose row 0 and column 0 are scaled to a
-largest modulus of 1, in real arithmetic when the data are real.
+The solver builds the pencil with row 0 and column 0 scaled to a largest
+modulus of 1, in real arithmetic when the data are real.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ SPURIOUS_BETA_RTOL = 1e-10
 # Eigenvalues this many node-spreads away from the node centroid are
 # artifacts of sampled data whose actual degree is below nominal.
 FAR_ROOT_FACTOR = 1e6
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 Pencil = Tuple[np.ndarray, np.ndarray]  # (c0, c1)
 
@@ -54,7 +55,9 @@ class RootfindReport:
 def build_pencil(p: LagrangePoly) -> Pencil:
     """Arrowhead pencil (c0, c1), of size degree + 2: c0 holds -values in
     row 0, weights in column 0 and the nodes on the trailing diagonal; c1
-    is the identity with (0,0) zeroed."""
+    is the identity with (0,0) zeroed. The solver builds its scaled pencil
+    itself; this unscaled complex one is the reference it is checked
+    against."""
     n = p.degree
     if n < 1:
         raise InvalidParameterError("pencil requires nominal degree >= 1")
@@ -80,29 +83,41 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
     """Homogeneous eigenvalues (alpha, beta) of p's pencil, by one LAPACK
     ?ggev call without eigenvectors.
 
-    Row 0 is divided by max|f| and column 0 by max|w|, which scales the
-    determinant by a constant only; a power-of-two factor on the values
-    then leaves the solve bit-identical. A subnormal max|f| is first
-    raised by 2**1000 with its row, as numpy's complex division takes
-    1 / max|f|, which would overflow. A pencil without imaginary part
-    is solved in real arithmetic.
+    This is build_pencil(p) with row 0 divided by max|f| and column 0 by
+    max|w|, which scales the determinant by a constant only; a
+    power-of-two factor on the values then leaves the solve bit-identical.
+    The column is the node set's, shared by every polynomial on p's nodes.
+    A subnormal max|f| is first raised by 2**1000 with its row, as numpy's
+    complex division takes 1 / max|f|, which would overflow. A pencil
+    without imaginary part is built and solved in real arithmetic.
     """
-    c0, c1 = build_pencil(p)
-    top = np.abs(p.values).max()
-    if top < np.finfo(float).tiny:
-        c0[0] *= 2.0**1000
+    node_set = p._node_set
+    top, row = p.peak, -p.values
+    if top < _TINY:
+        row *= 2.0**1000
         top *= 2.0**1000
-    c0[0] /= top
-    c0[:, 0] /= np.abs(p.weights).max()
-    if not c0.imag.any():
-        c0, c1 = c0.real, c1.real
+    row /= top
+    column, diagonal = node_set.column, node_set.nodes
+    if node_set.real and not row.imag.any():
+        row, column, diagonal = row.real, column.real, diagonal.real
+    # Fortran order, so that LAPACK works on these arrays without a copy
+    dim = p.degree + 2
+    c0 = np.zeros((dim, dim), dtype=row.dtype, order="F")
+    c0[0, 1:] = row
+    c0[1:, 0] = column
+    c1 = np.zeros_like(c0)
+    idx = np.arange(1, dim)
+    c0[idx, idx] = diagonal
+    c1[idx, idx] = 1.0
     ggev, = get_lapack_funcs(("ggev",), (c0, c1))
     # dggev returns alpha as two arrays (alphar, alphai), zggev as one
-    *alpha, beta, _, _, _, info = ggev(c0, c1, compute_vl=0, compute_vr=0)
+    *alpha, beta, _, _, _, info = ggev(
+        c0, c1, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1
+    )
     if info != 0:
         raise EigensolveFailureError("eigensolve failed: ?ggev info %d" % info)
     alpha = alpha[0] + 1j * alpha[1] if len(alpha) == 2 else alpha[0]
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise EigensolveFailureError("eigensolver returned non-finite data")
     return alpha, beta
 
@@ -117,13 +132,13 @@ def roots(p: LagrangePoly) -> RootfindReport:
     """
     if p.degree < 1:
         raise InvalidParameterError("rootfinding requires nominal degree >= 1")
-    if np.max(np.abs(p.values)) == 0.0:
+    if p.peak == 0.0:
         raise DegenerateInputError(
             "all sampled values are zero; the polynomial is identically zero"
         )
     alpha, beta = _eigenvalues(p)
     beta_scale = max(1.0, float(np.abs(beta).max()))
-    center = p.nodes.mean()
+    center = p._node_set.center
     spread = max(p.spread, 1.0)
 
     # The two smallest-|beta| eigenvalues are the pencil's structural

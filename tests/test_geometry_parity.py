@@ -388,6 +388,22 @@ class TestHeuristic:
             roots = RootList((complex(pool[k]), int(rng.integers(1, 5))) for k in picks)
             assert_heuristic_parity(roots, float(rng.choice([0.0, 1e-9, 1e-3])), 4)
 
+    def test_coincident_runs_group_indices_by_value(self):
+        # in a RootList's order equal values are adjacent, signed zeros
+        # (equal as numbers) included; the runs are those of a dict of values
+        pool = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, 1 + 1j, 2j, -1 + 0j]
+        rng = np.random.default_rng(28)
+        for _ in range(60):
+            picks = rng.integers(0, len(pool), int(rng.integers(0, 20)))
+            roots = RootList((pool[k], int(rng.integers(1, 4))) for k in picks)
+            points = [r for r, mult in roots for _ in range(mult)]
+            groups = {}
+            for i, p in enumerate(points):
+                groups.setdefault(p, []).append(i)
+            want = [run for run in groups.values() if len(run) > 1]
+            assert cluster_mod._coincident_runs(points) == want
+            assert cluster_mod._coincident_runs(roots.expand()) == want
+
     def test_sigma_zero(self):
         rng = np.random.default_rng(22)
         z = planted(rng, 40, 1e-15) + [0.5, 0.5, 0.5 + 1e-14]

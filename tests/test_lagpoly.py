@@ -17,6 +17,7 @@ from laggcd import (
     evaluate,
     from_roots,
 )
+from laggcd.lagpoly import _NODE_SETS, _node_set
 from conftest import PX, PY
 
 NEAR_NODES = [0.0, 1e-10, 1.0]
@@ -184,6 +185,75 @@ class TestLagrangePolyWeights:
             LagrangePoly(base, [1.0, 2.0])
         with pytest.raises(InsufficientNodesError):
             from_roots(RootList([(0.5, 3)]), base)
+
+
+class TestNodeSetCache:
+    def test_equal_nodes_share_one_record(self):
+        x = np.cos((2 * np.arange(9) + 1) * np.pi / 18)
+        p = LagrangePoly(x, np.arange(9.0))
+        others = (
+            LagrangePoly(list(x), np.ones(9)),
+            LagrangePoly(x + 0j, np.ones(9)),
+            LagrangePoly(p, np.ones(9)),
+            from_roots(RootList([(0.5, 2)]), p),
+            from_roots(RootList([(0.5, 2)]), x.copy()),
+        )
+        for q in others:
+            assert q._node_set is p._node_set
+            assert q.nodes is p.nodes and q.weights is p.weights
+        facts = p._node_set
+        for arr in (facts.nodes, facts.weights, facts.column):
+            assert not arr.flags.writeable
+        assert facts.center == np.array(x, dtype=complex).mean() and facts.real
+        assert facts.column.tobytes() == (p.weights / np.abs(p.weights).max()).tobytes()
+        assert p.peak == np.abs(p.values).max() == 8.0
+
+    def test_bad_nodes_raise_on_every_call(self):
+        for nodes, error in (
+            ([0.0, 1.0, 1.0], DuplicateNodesError),
+            ([-1e308, 1e308], DegenerateInputError),
+            ([0.0, np.nan], InvalidParameterError),
+        ):
+            for _ in range(3):
+                with pytest.raises(error):
+                    LagrangePoly(nodes, np.ones(len(nodes)))
+                with pytest.raises(error):
+                    from_roots(RootList([(0.5, 1)]), nodes)
+
+    def test_signed_zeros_get_their_own_record(self):
+        sets = [
+            LagrangePoly(nodes, [1.0, 2.0])._node_set
+            for nodes in ([0.0, 1.0], [-0.0, 1.0], [complex(0.0, -0.0), 1.0])
+        ]
+        assert len({id(s) for s in sets}) == 3
+        assert [bool(np.signbit(s.nodes[0].real)) for s in sets] == [False, True, False]
+        assert bool(np.signbit(sets[2].nodes[0].imag))
+
+    def test_caller_arrays_may_change_afterwards(self):
+        # complex128 arrays, which np.asarray would not copy
+        x = np.array([0.0, 0.5, 2.0], dtype=complex)
+        y = np.array([1.0, 3.0, 2.0], dtype=complex)
+        p = LagrangePoly(x, y)
+        x[1], y[1] = 1.0, 7.0
+        assert list(p.nodes) == [0.0, 0.5, 2.0] and list(p.values) == [1.0, 3.0, 2.0]
+        q = LagrangePoly(x, y)
+        assert q._node_set is not p._node_set and list(q.nodes) == [0.0, 1.0, 2.0]
+        assert np.array_equal(p.weights, barycentric_weights([0.0, 0.5, 2.0]))
+
+    def test_cache_is_bounded(self):
+        for k in range(10 * _NODE_SETS):
+            LagrangePoly([0.0, 1.0 + k], [1.0, 2.0])
+        info = _node_set.cache_info()
+        assert info.maxsize == _NODE_SETS and info.currsize <= _NODE_SETS
+
+    def test_barycentric_weights_returns_a_fresh_writeable_array(self):
+        p = LagrangePoly(PX, PY)
+        w = barycentric_weights(PX)
+        assert w is not p.weights and w.flags.writeable
+        assert w is not barycentric_weights(PX)
+        want = p.weights.copy()
+        w[:] = 0.0
+        assert np.array_equal(LagrangePoly(PX, PY).weights, want)
 
 
 class TestEvaluate:

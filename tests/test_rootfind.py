@@ -6,12 +6,15 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from laggcd import (
     DegenerateInputError,
     LagrangePoly,
+    RootList,
     build_pencil,
     evaluate,
+    from_roots,
     pencil_determinant,
     roots,
 )
@@ -175,6 +178,55 @@ def test_eigenvalue_filter_matches_loop(kind):
         want = oracle_kept_eigenvalues(p)
         assert report.roots.tobytes() == want.tobytes()
         assert report.discarded_count == len(build_pencil(p)[0]) - len(want)
+
+
+def oracle_scaled_eigenvalues(p):
+    """_eigenvalues as it was written before the node-set cache: the
+    complex build_pencil, row 0 and column 0 scaled, a subnormal row raised
+    by 2**1000 first, then ?ggev, in real arithmetic for a real pencil."""
+    c0, c1 = build_pencil(p)
+    top = np.abs(p.values).max()
+    if top < np.finfo(float).tiny:
+        c0[0] *= 2.0**1000
+        top *= 2.0**1000
+    c0[0] /= top
+    c0[:, 0] /= np.abs(p.weights).max()
+    if not c0.imag.any():
+        c0, c1 = c0.real, c1.real
+    ggev, = scipy.linalg.lapack.get_lapack_funcs(("ggev",), (c0, c1))
+    *alpha, beta, _, _, _, info = ggev(c0, c1, compute_vl=0, compute_vr=0)
+    assert info == 0
+    alpha = alpha[0] + 1j * alpha[1] if len(alpha) == 2 else alpha[0]
+    return alpha, beta
+
+
+def lent_node_cases():
+    """Polynomials built on another's nodes, LagrangePoly(p, values) and
+    from_roots(roots, p), on real Chebyshev points and on complex nodes
+    (0.9-scaled roots of unity), with real and complex values."""
+    rng = np.random.default_rng(99)
+    for n in (3, 8, 17):
+        for nodes in (
+            np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2)),
+            0.9 * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1)),
+        ):
+            base = LagrangePoly(nodes, rng.standard_normal(n + 1))
+            yield base
+            yield LagrangePoly(base, rng.standard_normal(n + 1))
+            yield LagrangePoly(base, rng.standard_normal(n + 1) * (1 - 2j))
+            yield from_roots(RootList((complex(r), 1) for r in rng.uniform(-1, 1, n)), base)
+
+
+def test_eigenvalues_match_the_unshared_solve_bit_for_bit(ref_p):
+    tiny = ref_p.values * 2.0**-1060
+    cases = [p for kind in FILTER_KINDS for p in filter_cases(kind)]
+    cases += list(lent_node_cases())
+    cases += [LagrangePoly(ref_p, tiny), LagrangePoly(ref_p, tiny * (1 + 1j))]
+    assert np.abs(cases[-1].values).max() < np.finfo(float).tiny
+    for p in cases:
+        got, want = _eigenvalues(p), oracle_scaled_eigenvalues(p)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.dtype for a in got] == [a.dtype for a in want]
 
 
 def raw_pencil_eigenvalues(p):
