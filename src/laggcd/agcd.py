@@ -19,7 +19,7 @@ from .cluster import ClusterParams, cluster
 from .errors import (
     DegenerateInputError, InvalidParameterError, ZeroPolynomialError, check_sigma
 )
-from .lagpoly import LagrangePoly, RootList, _centroid, from_roots
+from .lagpoly import LagrangePoly, RootList, _centroid, _insert_ordered, from_roots
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
 from .metric import RHO_SUM, check_rho, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
@@ -112,19 +112,25 @@ def reconstruct(
 
     side is "left" (P) or "right" (Q), selecting which edge endpoint indexes
     into `clustered`. The entries come from RootLists and the matching's
-    int weights, so they are not checked again.
+    int weights, so they are not checked again. The leftovers are in order,
+    and the GCD roots go where a stable sort of gcd + leftovers places them.
     """
     if side not in ("left", "right"):
         raise InvalidParameterError("side must be 'left' or 'right'")
     weight_at = {
         (e.left if side == "left" else e.right): e.weight for e in m.edges
     }
-    entries = list(gcd.entries)
-    for idx, (r, d) in enumerate(clustered):
-        leftover = d - weight_at.get(idx, 0)
-        if leftover > 0:
-            entries.append((r, leftover))
-    return RootList._trusted(entries)
+    out = list(clustered.entries)
+    # from the end, so that a deletion moves no index still to come; an
+    # edge end that indexes no entry of clustered is ignored
+    for idx in sorted(filter(range(len(out)).__contains__, weight_at), reverse=True):
+        r, d = out[idx]
+        if d > weight_at[idx]:
+            out[idx] = (r, d - weight_at[idx])
+        else:
+            del out[idx]
+    _insert_ordered(out, gcd.entries)
+    return RootList._trusted(out, ordered=True)
 
 
 def certify_distance(

@@ -15,7 +15,6 @@ Two interchangeable strategies:
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidParameterError, check_sigma
-from .lagpoly import _EPS, RootList, _centroid, _order, real_slack
+from .lagpoly import _EPS, RootList, _centroid, _insert_ordered, _order, real_slack
 
 # Heuristic acceptance constants; deliberate engineering defaults, pinned
 # by tests.
@@ -140,26 +139,31 @@ def _partners(q: Sequence[Item], sigma: float, slack: float) -> List[int]:
 
 
 def _dnc(
-    q: Sequence[Item],
+    q: List[Item],
     first: List[int],
     lo: int,
     hi: int,
     sigma: float,
     slack: float,
 ) -> List[Item]:
-    """The merge recursion on q[lo:hi], with its result sorted by _order.
+    """The merge recursion on q[lo:hi], with its result sorted by _order,
+    where some root has its partner in q[lo:hi] (min(first[lo:hi]) < hi).
 
     The plain recursion returns "rest + merged strip" at each node; this
     returns the stable sort of that list, so equal roots keep its order.
+    A child with no partner inside it merges nothing: it is its slice of
+    q, and it is not visited.
     """
-    if min(first[lo:hi]) >= hi:  # no two roots within sigma: nothing merges
-        return list(q[lo:hi])
     if hi - lo == 2:  # the pair is within sigma, so its real gap is too
-        return _merge_strip([q[lo], q[lo + 1]], sigma)
+        return _merge_strip(q[lo:hi], sigma)
     # split index per the 1-based floor((l+r)/2) convention
     mid = (lo + 1 + hi) // 2
-    left = _dnc(q, first, lo, mid, sigma, slack)
-    right = _dnc(q, first, mid, hi, sigma, slack)
+    left = (
+        _dnc(q, first, lo, mid, sigma, slack) if min(first[lo:mid]) < mid else q[lo:mid]
+    )
+    right = (
+        _dnc(q, first, mid, hi, sigma, slack) if min(first[mid:hi]) < hi else q[mid:hi]
+    )
     mid_x = q[mid - 1][0].real
     # both children are sorted, so the strip lies in left[i:] + right[:j],
     # the entries within slack of the split
@@ -171,7 +175,12 @@ def _dnc(
     window = left[i:] + right[:j]
     strip = [t for t in window if abs(t[0].real - mid_x) <= sigma]
     rest = [t for t in window if abs(t[0].real - mid_x) > sigma]
-    merged = _merge_strip(strip, sigma)
+    merged = _merge_strip(strip, sigma) if len(strip) > 1 else strip
+    # a strip that merged nothing leaves the window as it was: sorted, when
+    # the children join in order (entries of equal keys share a real part,
+    # so the strip holds all of them or none)
+    if len(merged) == len(strip) and _order(left[-1]) <= _order(right[0]):
+        return left + right
     middle = sorted(rest + merged, key=_order)
     # a centroid sorts after an equal root of right[j:] in the stable sort,
     # and rounding may carry one past either end of the window
@@ -198,7 +207,7 @@ def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     split. Both scans look at real parts within real_slack of their centre.
     """
     check_sigma(sigma)
-    q = roots.entries
+    q = list(roots.entries)
     slack = real_slack(q, sigma)
     first = _partners(q, sigma, slack)
     if min(first, default=len(q)) == len(q):
@@ -461,11 +470,10 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
         for _, _, _, cand in scored:
             if all(i in active for i in cand):
                 accept(cand, m)
-    # the singles are in order; each cluster goes before any equal entry,
-    # the last first, as a stable sort of accepted + singles would place it
+    # the singles are in order; the clusters go where a stable sort of
+    # accepted + singles places them
     out = [(points[i], 1) for i in sorted(active)]
-    for entry in reversed(sorted(accepted, key=_order)):
-        out.insert(bisect.bisect_left(out, _order(entry), key=_order), entry)
+    _insert_ordered(out, sorted(accepted, key=_order))
     return RootList._trusted(out, ordered=True)
 
 

@@ -7,6 +7,7 @@ converts to monomial coefficients.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import operator
@@ -208,6 +209,8 @@ def _convert(root, mult) -> Tuple[complex, int]:
         raise InvalidParameterError(
             "entries must be (number, integer), got %r" % ((root, mult),)
         ) from None
+    except OverflowError:  # an int beyond the double range
+        raise InvalidParameterError("roots must be finite, got %r" % (root,)) from None
 
 
 def _centroid(total: complex, weight: int) -> complex:
@@ -225,6 +228,69 @@ def _order(entry: Tuple[complex, int]) -> Tuple[float, float]:
     return (root.real, root.imag)
 
 
+def _insert_ordered(out: List[Tuple[complex, int]], entries: Sequence) -> None:
+    """Insert entries, in a RootList's order, into the list out, also in
+    that order, each before any equal entry of out, the last first: where
+    a stable sort of entries + out places them."""
+    for entry in reversed(entries):
+        out.insert(bisect.bisect_left(out, _order(entry), key=_order), entry)
+
+
+# Root types whose conversion by np.array(..., dtype=complex) equals
+# complex() bit for bit; RootList checks other roots one entry at a time.
+_BULK_ROOTS = frozenset((complex, float, int, np.complex128, np.float64))
+
+
+def _bulk_checked(items: list) -> Optional[Tuple[Tuple[complex, int], ...]]:
+    """The list items as RootList entries, checked and sorted in bulk, or
+    None unless there are some and each is a pair, a tuple or list (which
+    zip does not use up), whose root has a type of _BULK_ROOTS and a
+    finite value, and whose multiplicity is an int of at least 1. numpy
+    orders complex numbers by (real part, imaginary part), its stable
+    argsort keeps ties in input order as list.sort does, and both compare
+    -0.0 equal to 0.0."""
+    if not set(map(type, items)) <= {tuple, list}:
+        return None
+    try:
+        # zip's strict mode fails unless the entries have one length, and
+        # the unpacking unless that length is 2
+        roots, mults = zip(*items, strict=True)
+        if not (
+            set(map(type, roots)) <= _BULK_ROOTS
+            and set(map(type, mults)) == {int}
+            and min(mults) >= 1
+        ):
+            return None
+        z = np.array(roots, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # no pairs; an int past the doubles
+        return None
+    if not np.isfinite(z).all():
+        return None
+    order = np.argsort(z, kind="stable")
+    return tuple(zip(z[order].tolist(), np.array(mults)[order].tolist()))
+
+
+def _checked(items: list) -> Tuple[Tuple[complex, int], ...]:
+    """RootList's entries one at a time: the error of the first entry that
+    fails, in input order, else the entries converted and sorted."""
+    norm = []
+    for entry in items:
+        try:
+            root, mult = entry
+        except (TypeError, ValueError):  # not a pair
+            raise InvalidParameterError(
+                "entries must be (number, integer), got %r" % (entry,)
+            ) from None
+        root, mult = _convert(root, mult)
+        if not cmath.isfinite(root):
+            raise InvalidParameterError("roots must be finite, got %r" % root)
+        if mult < 1:
+            raise InvalidParameterError("multiplicities must be >= 1, got %d" % mult)
+        norm.append((root, mult))
+    norm.sort(key=_order)
+    return tuple(norm)
+
+
 class RootList:
     """A multiset of complex roots with positive integer multiplicities.
 
@@ -235,7 +301,9 @@ class RootList:
     or infinite part, or a multiplicity that is not an integer of at least
     1 (a bool included), raises InvalidParameterError.
 
-    The stages build their outputs with RootList._trusted, which skips the
+    A list is checked in bulk where its types allow (_bulk_checked), else
+    entry by entry (_checked); both give the same entries and errors. The
+    stages build their outputs with RootList._trusted, which skips the
     checks that their entries pass by construction; each merged root is
     checked where it is computed (_centroid).
     """
@@ -243,27 +311,17 @@ class RootList:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Tuple[complex, int]] = ()):
-        norm = []
-        for root, mult in entries:
-            kind = type(root)
-            # a complex or numpy complex root with an int multiplicity needs
-            # no conversion beyond complex(); any other entry goes through
-            # _convert's checks
-            if type(mult) is not int or (
-                kind is not complex and kind is not np.complex128
-            ):
-                root, mult = _convert(root, mult)
-            elif kind is not complex:
-                root = complex(root)
-            if not cmath.isfinite(root):
-                raise InvalidParameterError("roots must be finite, got %r" % root)
-            if mult < 1:
-                raise InvalidParameterError(
-                    "multiplicities must be >= 1, got %d" % mult
-                )
-            norm.append((root, mult))
-        norm.sort(key=_order)
-        self.entries: Tuple[Tuple[complex, int], ...] = tuple(norm)
+        try:
+            it = iter(entries)
+        except TypeError:
+            raise InvalidParameterError(
+                "entries must be an iterable of (number, integer) pairs, got %r"
+                % (entries,)
+            ) from None
+        items = list(it)
+        self.entries: Tuple[Tuple[complex, int], ...] = _bulk_checked(
+            items
+        ) or _checked(items)
 
     @classmethod
     def _trusted(

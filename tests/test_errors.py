@@ -110,6 +110,10 @@ OPTION_ERRORS = {
     "rootlist_root_word": lambda: RootList([("x", 1)]),
     "rootlist_root_bytes": lambda: RootList([(b"1", 1)]),
     "rootlist_root_none": lambda: RootList([(None, 1)]),
+    "rootlist_entry_not_pair": lambda: RootList([1 + 0j]),
+    "rootlist_entry_triple": lambda: RootList([(1, 2, 3)]),
+    "rootlist_not_iterable": lambda: RootList(5),
+    "rootlist_root_huge_int": lambda: RootList([(0.5, 1), (10**400, 1)]),
     "poly_nan_node": lambda: LagrangePoly([0.0, NAN, 2.0], [1.0, 2.0, 3.0]),
     "poly_inf_node": lambda: LagrangePoly([0.0, INF, 2.0], [1.0, 2.0, 3.0]),
     "poly_inf_value": lambda: LagrangePoly([0.0, 1.0, 2.0], [1.0, INF, 3.0]),

@@ -5,14 +5,18 @@ divide-and-conquer clustering recursion that visits every node, the
 heuristic scan that scores every candidate, the all-pairs edge scan, a
 full sort per point for nearest neighbours, a binary search over every
 distinct distance for the bottleneck, a per-node product loop for
-sampling from roots, and the dense assignment
-over all n x n distances for rho="sum". The fast versions must give the
-same Python objects and the same floats, bit for bit (rho="sum" only
-where its optimal assignment is unique; elsewhere to 1e-15 relative).
+sampling from roots, the dense assignment
+over all n x n distances for rho="sum", the per-entry check and sort of
+a RootList's constructor, and the full sort of reconstruct's output. The
+fast versions must give the same Python objects and the same floats, bit
+for bit (rho="sum" only where its optimal assignment is unique; elsewhere
+to 1e-15 relative), and the constructor the same errors.
 """
 
+import cmath
 import importlib
 import math
+import operator
 import sys
 from collections import Counter
 from itertools import combinations
@@ -26,11 +30,16 @@ from scipy.spatial import cKDTree
 
 from laggcd import (
     ClusterParams,
+    InvalidParameterError,
+    Matching,
     RootList,
+    assemble_gcd,
     build_graph,
     cluster_dnc,
     cluster_heuristic,
     from_roots,
+    greedy_mwm,
+    reconstruct,
     root_pseudometric,
 )
 from laggcd.cluster import ENUMERATION_LIMIT, _knn_candidates
@@ -175,6 +184,37 @@ def oracle_values(roots, nodes, leading_coeff=1.0):
     return values
 
 
+def oracle_rootlist(entries):
+    """RootList's entries checked one at a time, in input order, then
+    stably sorted by (real part, imaginary part)."""
+    norm = []
+    for root, mult in entries:
+        bad = InvalidParameterError("entries must be (number, integer), got %r" % ((root, mult),))
+        if isinstance(root, (str, bytes)) or isinstance(mult, bool):
+            raise bad
+        try:
+            root, mult = complex(root), operator.index(mult)
+        except (TypeError, ValueError):
+            raise bad from None
+        if not cmath.isfinite(root):
+            raise InvalidParameterError("roots must be finite, got %r" % root)
+        if mult < 1:
+            raise InvalidParameterError("multiplicities must be >= 1, got %d" % mult)
+        norm.append((root, mult))
+    norm.sort(key=lambda e: (e[0].real, e[0].imag))
+    return tuple(norm)
+
+
+def oracle_reconstruct(clustered, m, side, gcd):
+    """The GCD's entries and each cluster's leftover, stably sorted."""
+    weight_at = {(e.left if side == "left" else e.right): e.weight for e in m.edges}
+    entries = list(gcd.entries)
+    for idx, (r, d) in enumerate(clustered):
+        if d > weight_at.get(idx, 0):
+            entries.append((r, d - weight_at.get(idx, 0)))
+    return RootList._trusted(entries)
+
+
 # ---------------------------------------------------------------- inputs
 
 
@@ -278,6 +318,25 @@ class TestDnC:
         out = assert_dnc_parity(roots, 5e-3)
         assert len(out) == 1000
 
+    def test_root_clouds_wide_side(self, dnc_comparisons):
+        # a wide side of the benchmark's root clouds: 64 triples of radius
+        # about 1e-4 and 1856 singletons, one to a jittered cell of a
+        # 96 x 96 grid; nearly every root passes through untouched
+        rng = np.random.default_rng(20)
+        cells = rng.choice(96 * 96, size=64 + 1856, replace=False)
+        jitter = rng.uniform(0.25, 0.75, len(cells)) + 1j * rng.uniform(0.25, 0.75, len(cells))
+        z = (cells % 96 + 1j * (cells // 96) + jitter) / 96
+        centers, singles = z[:64], z[64:]
+        theta = rng.uniform(0, 2 * np.pi, (64, 1)) + 2 * np.pi * np.arange(3) / 3
+        theta = theta + rng.uniform(-0.05, 0.05, (64, 3))
+        triples = centers[:, None] + 1e-4 * rng.uniform(0.9, 1.1, (64, 3)) * np.exp(1j * theta)
+        roots = RootList((r, 1) for r in np.concatenate([triples.ravel(), singles]))
+        out = assert_dnc_parity(roots, 3e-4)
+        assert sorted(m for _, m in out) == [1] * 1856 + [3] * 64
+        # the pair distances of the recursion that visits every node with
+        # a root and its partner, before children were checked by the caller
+        assert dnc_comparisons(roots, 3e-4) == 4117
+
     def test_centroid_landing_on_a_root_past_the_window(self, monkeypatch):
         # the top strip merges 0.5 and 0.52; a merge step that puts the
         # centroid on the root 1.0 must leave it after that root, as the
@@ -310,6 +369,184 @@ class TestDnC:
         for _ in range(50):
             roots = with_mults(rng, cloud(rng, 40), top=1)
             assert_dnc_parity(roots, float(rng.choice([0.05, 0.2])))
+
+
+# ---------------------------------------------------------------- RootList
+
+
+def assert_rootlist_parity(entries):
+    out, ref = RootList(entries), oracle_rootlist(entries)
+    assert out.entries == ref
+    assert repr(out) == "RootList(%r)" % (list(ref),)  # signed zeros too
+    assert all(type(r) is complex and type(m) is int for r, m in out)
+
+
+# numpy integer roots and multiplicities take the per-entry checks, the
+# others the bulk ones
+ROOT_KINDS = (complex, np.complex128, float, int, np.int64, np.int32, np.uint8)
+BULK_KINDS = ROOT_KINDS[:4]
+
+
+def mixed_entries(rng, n, grid=False, bulk=False):
+    """n entries whose roots are of random kinds (bulk: of kinds and with
+    multiplicities that the bulk check takes); on a grid of quarter steps
+    with signed zeros, exact ties of different multiplicities."""
+    kinds = BULK_KINDS if bulk else ROOT_KINDS
+    entries = []
+    for _ in range(n):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if grid:
+            x, y = (float(v) for v in rng.integers(-3, 4, 2) / 4)
+            x, y = x * float(rng.choice([1, -1])), y * float(rng.choice([1, -1]))
+        else:
+            x, y = (float(v) for v in rng.uniform(-2, 2, 2))
+        if kind in (complex, np.complex128):
+            root = kind(complex(x, y))
+        elif kind is float:
+            root = x
+        else:
+            root = kind(abs(round(4 * x)))
+        mult = int(rng.integers(1, 4))
+        entries.append((root, np.int64(mult) if not bulk and rng.random() < 0.05 else mult))
+    return entries
+
+
+class TestRootList:
+    @pytest.mark.parametrize("n", [0, 1, 4, 16, 63, 64, 512, 2048])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_lists(self, seed, n):
+        rng = np.random.default_rng([21, seed, n])
+        assert_rootlist_parity(mixed_entries(rng, n))
+        assert_rootlist_parity(mixed_entries(rng, n, bulk=True))
+        assert_rootlist_parity([(complex(r), 1) for r in cloud(rng, n)])
+        assert_rootlist_parity([(r, 2) for r in cloud(rng, n)])  # np.complex128
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_and_signed_zeros(self, seed):
+        rng = np.random.default_rng([22, seed])
+        for n in (2, 5, 30, 200):
+            assert_rootlist_parity(mixed_entries(rng, n, grid=True))
+            assert_rootlist_parity(mixed_entries(rng, n, grid=True, bulk=True))
+        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0j, 0]
+        entries = [(zeros[k], int(m)) for k, m in zip(rng.integers(0, 6, 40), rng.integers(1, 4, 40))]
+        assert_rootlist_parity(entries)
+
+    @pytest.mark.parametrize("n", [2, 16, 512])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_bad_entry_raises(self, seed, n):
+        # two bad entries at random places: the error is the first one's
+        bad = [(math.nan, 1), (1.0, 0), (0.5, True), ("1", 1), (complex(0.0, math.inf), 2)]
+        rng = np.random.default_rng([23, seed, n])
+        for _ in range(10):
+            entries = mixed_entries(rng, n, grid=bool(seed % 2), bulk=seed < 4)
+            for pos in sorted(rng.choice(n + 1, 2, replace=False), reverse=True):
+                entries.insert(int(pos), bad[int(rng.integers(len(bad)))])
+            with pytest.raises(InvalidParameterError) as got:
+                RootList(entries)
+            with pytest.raises(InvalidParameterError) as want:
+                oracle_rootlist(entries)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1 + 0j], "entries must be (number, integer), got (1+0j)"),
+            ([(1.0, 1), (1, 2, 3)], "entries must be (number, integer), got (1, 2, 3)"),
+            ([(1, 2, 3), (1.0, 1)], "entries must be (number, integer), got (1, 2, 3)"),
+            ([(1.0, 1), ()], "entries must be (number, integer), got ()"),
+            (5, "entries must be an iterable of (number, integer) pairs, got 5"),
+        ],
+    )
+    def test_entries_that_are_no_pairs(self, entries, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            RootList(entries)
+        assert str(exc.value) == message
+
+    def test_entries_as_lists_and_iterators(self):
+        # an iterator is used up by one pass, so the fallback must not
+        # follow a bulk pass that read it
+        def entries():
+            return [iter((1.0, np.int64(2))), [0.5, 1], (0.5, 3), iter([0.25j, 1])]
+
+        assert RootList(entries()).entries == oracle_rootlist(entries())
+        assert_rootlist_parity([[0.5, 1], [0.25, 2], (0.5, 3)])
+
+    def test_error_while_iterating_propagates(self):
+        def entries():
+            yield (1.0, 1)
+            raise KeyError("from the iterable")
+
+        with pytest.raises(KeyError):
+            RootList(entries())
+
+
+# ---------------------------------------------------------------- reconstruct
+
+
+def assert_reconstruct_parity(clustered, m, side, gcd):
+    out, ref = reconstruct(clustered, m, side, gcd), oracle_reconstruct(clustered, m, side, gcd)
+    assert out == ref
+    assert repr(out) == repr(ref)
+    return out
+
+
+def random_matching(rng, clustered, side):
+    """Edges on a random half of clustered's entries, each of a random
+    weight up to the entry's multiplicity, so that some entries go."""
+    picked = [i for i in range(len(clustered)) if rng.random() < 0.5]
+    other = rng.permutation(len(picked)).tolist()
+    edges = []
+    for i, j in zip(picked, other):
+        weight = int(rng.integers(1, clustered.entries[i][1] + 1))
+        edges.append(Edge(i, j, weight, 0.0) if side == "left" else Edge(j, i, weight, 0.0))
+    return Matching(tuple(edges))
+
+
+class TestReconstruct:
+    POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0.25, -0.25j,
+            0.25 + 0.5j, 0.5, 1 / 3, complex(1 / 3, -0.0)]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gcd_roots_equal_to_clusters(self, seed, side):
+        # GCD roots drawn from the clusters' own values, signed zeros
+        # included, so that each lands on equal entries
+        rng = np.random.default_rng([24, seed])
+        for _ in range(100):
+            pick = lambda n: [(self.POOL[k], int(rng.integers(1, 4))) for k in rng.integers(0, len(self.POOL), n)]
+            clustered = RootList(pick(int(rng.integers(0, 12))))
+            gcd = RootList(pick(int(rng.integers(0, 6))))
+            m = random_matching(rng, clustered, side)
+            assert_reconstruct_parity(clustered, m, side, gcd)
+            assert_reconstruct_parity(clustered, m, side, RootList())  # a cofactor
+
+    def test_gcd_root_on_an_unmatched_cluster(self):
+        clustered = RootList([(-0.0, 2), (0.5, 1), (0.5, 3), (1.0, 1)])
+        gcd = RootList([(0.0, 1), (0.5, 2)])
+        m = Matching((Edge(1, 0, 1, 0.0), Edge(3, 1, 1, 0.0)))
+        out = assert_reconstruct_parity(clustered, m, "left", gcd)
+        assert repr(out) == "RootList([(0j, 1), ((-0+0j), 2), ((0.5+0j), 2), ((0.5+0j), 3)])"
+
+    def test_edge_ends_outside_the_list_are_ignored(self):
+        clustered = RootList([(0.0, 2), (1.0, 1)])
+        m = Matching((Edge(-1, 0, 1, 0.0), Edge(0, 1, 1, 0.0), Edge(2, 2, 1, 0.0)))
+        out = assert_reconstruct_parity(clustered, m, "left", RootList([(0.5, 1)]))
+        assert out.entries == ((0j, 1), (0.5 + 0j, 1), (1 + 0j, 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pipeline_on_clouds(self, seed):
+        # the stages' own outputs, the empty-GCD cofactor calls included
+        rng = np.random.default_rng([25, seed])
+        p = with_mults(rng, np.round(cloud(rng, 300) * 8) / 8)
+        q = with_mults(rng, np.round(cloud(rng, 300) * 8) / 8)
+        g = build_graph(p, q, 0.2)
+        m = greedy_mwm(g)
+        gcd = assemble_gcd(m, g)
+        for roots, side in ((p, "left"), (q, "right")):
+            assert assert_reconstruct_parity(roots, m, side, gcd).total_multiplicity() == (
+                roots.total_multiplicity()
+            )
+            assert_reconstruct_parity(roots, m, side, RootList())
 
 
 # ---------------------------------------------------------------- cluster_heuristic
