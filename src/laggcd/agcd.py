@@ -19,7 +19,9 @@ from .cluster import ClusterParams, cluster
 from .errors import (
     DegenerateInputError, InvalidParameterError, ZeroPolynomialError, check_sigma
 )
-from .lagpoly import LagrangePoly, RootList, _centroid, _insert_ordered, from_roots
+from .lagpoly import (
+    LagrangePoly, RootList, _centroid, _insert_ordered, _order, from_roots
+)
 from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
 from .metric import RHO_SUM, check_rho, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
@@ -91,14 +93,14 @@ def assemble_gcd(m: Matching, g: MatchGraph) -> RootList:
     An empty matching yields an empty RootList: the degree-0 GCD, i.e. the
     inputs are coprime at this tolerance. The edges are taken as build_graph
     makes them, with int weights of at least 1; only the centres are
-    checked, for finiteness, where they are computed.
+    checked, for finiteness, where they are computed, and then sorted.
     """
     entries = []
     for e in m.edges:
         a, da = g.left.entries[e.left]
         b, db = g.right.entries[e.right]
         entries.append((_centroid(da * a + db * b, da + db), e.weight))
-    return RootList._trusted(entries)
+    return RootList._trusted(sorted(entries, key=_order))
 
 
 def reconstruct(
@@ -130,7 +132,7 @@ def reconstruct(
         else:
             del out[idx]
     _insert_ordered(out, gcd.entries)
-    return RootList._trusted(out, ordered=True)
+    return RootList._trusted(out)
 
 
 def certify_distance(
@@ -193,8 +195,8 @@ def approximate_gcd(
                 "%s rootfinding found no roots: %s" % (name, rep.backward_note)
             )
     # the reports' roots are finite and in a RootList's order already
-    p_roots = RootList._trusted([(r, 1) for r in p_report.roots.tolist()], ordered=True)
-    q_roots = RootList._trusted([(r, 1) for r in q_report.roots.tolist()], ordered=True)
+    p_roots = RootList._trusted([(r, 1) for r in p_report.roots.tolist()])
+    q_roots = RootList._trusted([(r, 1) for r in q_report.roots.tolist()])
     p_clustered = cluster(p_roots, params)
     q_clustered = cluster(q_roots, params)
 

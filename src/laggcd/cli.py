@@ -40,8 +40,9 @@ def _rootlist_json(rl: RootList):
     return [[_cnum(r), m] for r, m in rl]
 
 
-def _poly_json(p: LagrangePoly):
+def _poly_json(roots: RootList, p: LagrangePoly):
     return {
+        "roots": _rootlist_json(roots),
         "nodes": [_cnum(z) for z in p.nodes],
         "values": [_cnum(z) for z in p.values],
     }
@@ -162,21 +163,12 @@ def cmd_roots(args) -> int:
 
 
 def _agcd_json(result: AgcdResult, settings: dict) -> dict:
+    gcd = _poly_json(result.gcd_roots, result.gcd_poly)
     return {
         **settings,
-        "gcd": {
-            "degree": result.gcd_degree,
-            "roots": _rootlist_json(result.gcd_roots),
-            **_poly_json(result.gcd_poly),
-        },
-        "p_tilde": {
-            "roots": _rootlist_json(result.p_tilde_roots),
-            **_poly_json(result.p_tilde_poly),
-        },
-        "q_tilde": {
-            "roots": _rootlist_json(result.q_tilde_roots),
-            **_poly_json(result.q_tilde_poly),
-        },
+        "gcd": {"degree": result.gcd_degree, **gcd},
+        "p_tilde": _poly_json(result.p_tilde_roots, result.p_tilde_poly),
+        "q_tilde": _poly_json(result.q_tilde_roots, result.q_tilde_poly),
         "cofactor_p": _rootlist_json(result.cofactor_p),
         "cofactor_q": _rootlist_json(result.cofactor_q),
         "matching": {

@@ -212,7 +212,7 @@ def cluster_dnc(roots: RootList, sigma: float) -> RootList:
     first = _partners(q, sigma, slack)
     if min(first, default=len(q)) == len(q):
         return roots
-    return RootList._trusted(_dnc(q, first, 0, len(q), sigma, slack), ordered=True)
+    return RootList._trusted(_dnc(q, first, 0, len(q), sigma, slack))
 
 
 class _Nearest(NamedTuple):
@@ -335,12 +335,8 @@ def _score_candidate(points, cand, m, radius_cap):
     """Return an orderable score tuple if the candidate passes, else None."""
     pts = [points[i] for i in cand]
     centroid = sum(pts) / m
-    try:
-        dists = [abs(p - centroid) for p in pts]
-        scale = max(1.0, abs(centroid))
-    except OverflowError:  # a modulus beyond the double range
-        dists = [_modulus(p - centroid) for p in pts]
-        scale = max(1.0, _modulus(centroid))
+    dists = [_modulus(p - centroid) for p in pts]
+    scale = max(1.0, _modulus(centroid))
     rmax = max(dists)
     if rmax <= COINCIDENT_RTOL * scale:
         return (0.0, 1.0, 0.0, cand)  # exactly coincident points
@@ -474,7 +470,7 @@ def cluster_heuristic(roots: RootList, params: ClusterParams) -> RootList:
     # accepted + singles places them
     out = [(points[i], 1) for i in sorted(active)]
     _insert_ordered(out, sorted(accepted, key=_order))
-    return RootList._trusted(out, ordered=True)
+    return RootList._trusted(out)
 
 
 def cluster(roots: RootList, params: ClusterParams) -> RootList:

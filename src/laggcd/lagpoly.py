@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import contextlib
 import functools
 import operator
 import sys
@@ -47,10 +48,20 @@ def barycentric_weights(nodes) -> np.ndarray:
     return _weights(nodes)[0]
 
 
+def _complex_array(data, name: str) -> np.ndarray:
+    """np.array(data, dtype=complex), or InvalidParameterError naming the
+    input where numpy cannot convert it: an entry that is no number (a
+    numeric string is one), a ragged nesting, an int beyond the doubles."""
+    try:
+        return np.array(data, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError("%s must be numbers (%s)" % (name, exc)) from None
+
+
 def _weights(nodes) -> Tuple[np.ndarray, Optional[str], float]:
     """barycentric_weights, the node note (the text on nearly coincident
     nodes, or None) and the spread, the largest distance between nodes."""
-    x = np.asarray(nodes, dtype=complex)
+    x = _complex_array(nodes, "nodes")
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
     finite = np.isfinite(x)
@@ -128,15 +139,15 @@ class LagrangePoly:
     check the nodes; `note`, the node note, the text on nearly coincident
     nodes, or None, which approximate_gcd reports first in its warnings;
     and `spread`, the largest distance between two nodes. A LagrangePoly
-    given as nodes lends its node set, which is not looked up again.
-    `peak` is the largest |value|. A NaN or infinite value raises
-    InvalidParameterError.
+    given as nodes stands for its nodes, which are looked up as any are.
+    `peak` is the largest |value|. A node or value that is no number, NaN
+    or infinite raises InvalidParameterError.
     """
 
     def __init__(self, nodes, values):
-        base = nodes if isinstance(nodes, LagrangePoly) else None
-        nodes = base.nodes if base else np.asarray(nodes, dtype=complex)
-        values = np.array(values, dtype=complex)
+        if isinstance(nodes, LagrangePoly):
+            nodes = nodes.nodes
+        nodes, values = _complex_array(nodes, "nodes"), _complex_array(values, "values")
         if nodes.ndim != 1 or values.ndim != 1:
             raise InvalidParameterError("nodes and values must be 1-d sequences")
         if len(nodes) != len(values) or len(nodes) == 0:
@@ -146,7 +157,7 @@ class LagrangePoly:
             raise InvalidParameterError(
                 "values must be finite, got %s" % values[~finite][0]
             )
-        node_set = base._node_set if base else _node_set(nodes.tobytes())
+        node_set = _node_set(nodes.tobytes())
         values.flags.writeable = False
         self.nodes, self.values, self.weights = node_set.nodes, values, node_set.weights
         self.spread, self.peak = node_set.spread, float(np.abs(values).max())
@@ -178,8 +189,9 @@ def evaluate(p: LagrangePoly, z):
     factor of l(z) is scaled by an exact power of two, so that the product
     cannot overflow or underflow on its way. If z coincides exactly with
     a node the stored value is returned unchanged (no tolerance involved).
+    A z that is no number raises InvalidParameterError.
     """
-    zarr = np.asarray(z, dtype=complex)
+    zarr = _complex_array(z, "evaluation points")
     zz = zarr.reshape(-1)
     diff = zz[:, None] - p.nodes[None, :]
     out = np.empty(len(zz), dtype=complex)
@@ -302,10 +314,10 @@ class RootList:
     1 (a bool included), raises InvalidParameterError.
 
     A list is checked in bulk where its types allow (_bulk_checked), else
-    entry by entry (_checked); both give the same entries and errors. The
-    stages build their outputs with RootList._trusted, which skips the
-    checks that their entries pass by construction; each merged root is
-    checked where it is computed (_centroid).
+    entry by entry (_checked); both give the same entries and errors. Each
+    stage builds its output in order and wraps it with RootList._trusted,
+    which skips the checks that its entries pass by construction; each
+    merged root is checked where it is computed (_centroid).
     """
 
     __slots__ = ("entries",)
@@ -324,17 +336,10 @@ class RootList:
         ) or _checked(items)
 
     @classmethod
-    def _trusted(
-        cls, entries: List[Tuple[complex, int]], ordered: bool = False
-    ) -> "RootList":
+    def _trusted(cls, entries: Sequence[Tuple[complex, int]]) -> "RootList":
         """A RootList of entries that are already finite Python complex
-        roots with int multiplicities >= 1, which are not checked again.
-
-        The list entries is sorted in place, unless `ordered` says that it
-        is in a RootList's order already.
-        """
-        if not ordered:
-            entries.sort(key=_order)
+        roots with int multiplicities >= 1 in a RootList's order, which are
+        not checked again."""
         self = cls.__new__(cls)
         self.entries = tuple(entries)
         return self
@@ -343,9 +348,15 @@ class RootList:
         return sum(m for _, m in self.entries)
 
     def expand(self) -> np.ndarray:
-        """Roots repeated according to multiplicity, as a complex array."""
+        """Roots repeated according to multiplicity, as a complex array; a
+        total multiplicity too large for one raises InvalidParameterError."""
         roots = np.array([r for r, _ in self.entries], dtype=complex)
-        return np.repeat(roots, [m for _, m in self.entries])
+        mults = [m for _, m in self.entries]
+        total = sum(mults)
+        if total <= sys.maxsize:  # numpy would wrap a larger count
+            with contextlib.suppress(ValueError, MemoryError):  # numpy refuses it
+                return np.repeat(roots, mults)
+        raise InvalidParameterError("cannot expand a total multiplicity of %d" % total)
 
     def __iter__(self) -> Iterator[Tuple[complex, int]]:
         return iter(self.entries)
@@ -392,10 +403,18 @@ def from_roots(
     gives; numpy's complex array `*` may fuse a multiply and an add and
     then differs in the last bit. The order key is np.abs, as in the
     per-node loop; np.abs on complex is not Python's abs bit for bit, so
-    code that must match abs(complex) uses np.hypot instead.
+    code that must match abs(complex) uses np.hypot instead. Nodes or a
+    leading_coeff that are no numbers raise InvalidParameterError.
     """
-    shared = isinstance(nodes, LagrangePoly)
-    x = nodes.nodes if shared else np.asarray(nodes, dtype=complex)
+    if isinstance(nodes, LagrangePoly):
+        nodes = nodes.nodes
+    x = _complex_array(nodes, "nodes")
+    try:
+        c = complex(leading_coeff)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(
+            "leading_coeff must be a number (%s)" % exc
+        ) from None
     if x.ndim != 1 or len(x) == 0:
         raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
     deg = roots.total_multiplicity()
@@ -408,10 +427,9 @@ def from_roots(
         factors = x[:, None] - roots.expand()[None, :]
         order = np.argsort(np.abs(factors), axis=1, kind="stable")
         factors = np.take_along_axis(factors, order, axis=1)
-        c = complex(leading_coeff)
         vr, vi = np.full(len(x), c.real), np.full(len(x), c.imag)
         for fr, fi in zip(factors.real.T, factors.imag.T):
             vr, vi = vr * fr - vi * fi, vr * fi + vi * fr
     values = np.empty(len(x), dtype=complex)
     values.real, values.imag = vr, vi
-    return LagrangePoly(nodes if shared else x, values)
+    return LagrangePoly(x, values)

@@ -43,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InvalidParameterError, LengthMismatchError
-from .lagpoly import RootList
+from .lagpoly import RootList, _complex_array
 
 RHO_SUM = "sum"
 RHO_MAX = "max"
@@ -58,11 +58,8 @@ _PAIR_FIRST_MIN_N = 128
 def _coords(obj) -> np.ndarray:
     if isinstance(obj, RootList):
         return obj.expand()
-    try:
-        v = np.asarray(obj, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        v = None
-    if v is None or v.ndim != 1:
+    v = _complex_array(obj, "root vectors")
+    if v.ndim != 1:
         raise InvalidParameterError("root vectors must be 1-d sequences of numbers")
     return v
 

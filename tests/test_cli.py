@@ -253,6 +253,19 @@ class TestCluster:
         assert code == 0 and err == ""
         assert out.splitlines()[1:] == ["0,0,1,0,false", "1e+308,1.5e+308,1,1,false"]
 
+    def test_multiplicity_too_large_to_expand(self, capsys, tmp_path):
+        # the heuristic expands the multiplicity into points; dnc never does
+        path = write_json(tmp_path, "pts.json", [[0.0, 2**63]])
+        argv = ["cluster", path, "--sigma", "0.1"]
+        code, out, err = run(capsys, argv + ["--strategy", "heuristic"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: cannot expand a total multiplicity of 9223372036854775808"
+        ]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == ["0,0,9223372036854775808,0,false"]
+
     def test_empty_points_file(self, capsys, tmp_path):
         path = write_json(tmp_path, "pts.json", [])
         code, out, _ = run(capsys, ["cluster", path, "--sigma", "1.0"])

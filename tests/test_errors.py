@@ -26,6 +26,7 @@ from laggcd import (
     certify_distance,
     cluster_dnc,
     cluster_heuristic,
+    evaluate,
     from_roots,
     greedy_mwm,
     reconstruct,
@@ -127,7 +128,54 @@ OPTION_ERRORS = {
     "metric_2d": lambda: root_pseudometric([[1.0, 2.0]], [[1.0, 2.0]]),
     "metric_ragged": lambda: root_pseudometric([[1.0], [1.0, 2.0]], [1.0, 2.0]),
     "metric_words": lambda: root_pseudometric(["a", "b"], [1.0, 2.0]),
+    "metric_huge_int": lambda: root_pseudometric([10**400], [1.0]),
 }
+# inputs that numpy or complex() cannot read as numbers, by the message
+# prefix that names the input
+NON_NUMBERS = {
+    "poly_node_object": (
+        lambda: LagrangePoly([object(), 1.0], [1.0, 2.0]), "nodes must be numbers"
+    ),
+    "poly_node_huge_int": (
+        lambda: LagrangePoly([10**400, 1.0], [1.0, 2.0]), "nodes must be numbers"
+    ),
+    "poly_value_words": (
+        lambda: LagrangePoly([0.0, 1.0], ["a", "b"]), "values must be numbers"
+    ),
+    "weights_nodes_str": (lambda: barycentric_weights("ab"), "nodes must be numbers"),
+    "from_roots_node_words": (
+        lambda: from_roots(RootList([(1, 1)]), ["a", "b", "c"]), "nodes must be numbers"
+    ),
+    "from_roots_leading_str": (
+        lambda: from_roots(RootList([(1, 1)]), [0.0, 2.0], leading_coeff="x"),
+        "leading_coeff must be a number",
+    ),
+    "from_roots_leading_object": (
+        lambda: from_roots(RootList([(1, 1)]), [0.0, 2.0], leading_coeff=object()),
+        "leading_coeff must be a number",
+    ),
+    "from_roots_leading_huge_int": (
+        lambda: from_roots(RootList([(1, 1)]), [0.0, 2.0], leading_coeff=10**400),
+        "leading_coeff must be a number",
+    ),
+    "evaluate_object": (lambda: evaluate(_poly(), object()), "evaluation points must"),
+    "evaluate_words": (lambda: evaluate(_poly(), ["0.5", "x"]), "evaluation points must"),
+}
+# totals of multiplicity that have no array, none of which numpy allocates:
+# beyond int64, past the largest index in sum (2**64 + 1 wraps to 1 in
+# numpy's count, and np.repeat then writes past its array), past the
+# largest byte size, and 16 PiB
+TOO_LARGE_TO_EXPAND = {
+    "over_int64": [(0.0, 2**63)],
+    "total_past_index": [(0.0, 4), (0.5, 2**63 - 1)],
+    "total_wraps": [(0.0, 2**63 - 1), (1.0, 2**63 - 1), (2.0, 3)],
+    "bytes_past_index": [(0.0, 2**62)],
+    "no_memory": [(1.0, 2**50)],
+}
+for _name, (_call, _) in NON_NUMBERS.items():
+    OPTION_ERRORS[_name] = _call
+for _name, _entries in TOO_LARGE_TO_EXPAND.items():
+    OPTION_ERRORS["expand_" + _name] = RootList(_entries).expand
 
 # one check serves every tolerance: a bool is no tolerance, though it is an int
 NOT_A_SIGMA = {"str": "0.1", "none": None, "complex": 0.1 + 0j, "bool": True}
@@ -166,6 +214,41 @@ def test_option_errors_are_typed(call):
     assert isinstance(exc.value, LagGcdError)
     assert isinstance(exc.value, ValueError)
     assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "call, prefix", NON_NUMBERS.values(), ids=NON_NUMBERS.keys()
+)
+def test_non_numbers_name_their_input(call, prefix):
+    with pytest.raises(InvalidParameterError, match="^" + prefix):
+        call()
+
+
+def test_numeric_strings_still_read():
+    p = LagrangePoly(["0", "1", "2"], ["1", "0", "3+1j"])
+    assert p.values.tolist() == [1, 0, 3 + 1j]
+    q = from_roots(RootList([(1, 1)]), ["0", "2"], leading_coeff="2")
+    assert q.values.tolist() == [-2, 2]
+    assert evaluate(p, "1") == 0 and barycentric_weights(["1"]).tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "entries", TOO_LARGE_TO_EXPAND.values(), ids=TOO_LARGE_TO_EXPAND.keys()
+)
+def test_multiplicity_too_large_to_expand(entries):
+    # every consumer of the expanded roots raises the one error, while
+    # the list itself, and dnc clustering, which never expands, work
+    rl = RootList(entries)
+    message = r"^cannot expand a total multiplicity of %d$" % rl.total_multiplicity()
+    heuristic = ClusterParams(sigma=0.1, strategy="heuristic")
+    for call in (
+        rl.expand,
+        lambda: root_pseudometric(rl, [0.0]),
+        lambda: cluster_heuristic(rl, heuristic),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+    assert cluster_dnc(rl, 0.1) == rl
 
 
 def _overflow_gcd():

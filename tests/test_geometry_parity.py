@@ -212,7 +212,7 @@ def oracle_reconstruct(clustered, m, side, gcd):
     for idx, (r, d) in enumerate(clustered):
         if d > weight_at.get(idx, 0):
             entries.append((r, d - weight_at.get(idx, 0)))
-    return RootList._trusted(entries)
+    return RootList._trusted(sorted(entries, key=lambda e: (e[0].real, e[0].imag)))
 
 
 # ---------------------------------------------------------------- inputs

@@ -246,6 +246,27 @@ class TestNodeSetCache:
         info = _node_set.cache_info()
         assert info.maxsize == _NODE_SETS and info.currsize <= _NODE_SETS
 
+    def test_lookup_on_a_polys_nodes_after_eviction(self):
+        # a polynomial built on p's nodes looks them up again; once p's
+        # record has left the cache, a new one must give the same bytes
+        x = np.cos((2 * np.arange(7) + 1) * np.pi / 14) * 0.9 + 0.1j
+        p = LagrangePoly(x, np.arange(7.0) - 2.5j)
+        roots = RootList([(0.25 - 0.5j, 2), (-0.3, 1)])
+
+        def built():
+            polys = (LagrangePoly(p, 3j * np.ones(7)), from_roots(roots, p, 2.0 - 1j))
+            records = [q._node_set for q in polys]
+            arrays = [[a.tobytes() for a in (q.nodes, q.weights, q.values)] for q in polys]
+            return records, arrays
+
+        records, before = built()
+        assert all(r is p._node_set for r in records)
+        for k in range(2 * _NODE_SETS):
+            LagrangePoly([0.0, 2.0 + k], [1.0, 2.0])
+        records, after = built()
+        assert all(r is not p._node_set for r in records)
+        assert after == before
+
     def test_barycentric_weights_returns_a_fresh_writeable_array(self):
         p = LagrangePoly(PX, PY)
         w = barycentric_weights(PX)
