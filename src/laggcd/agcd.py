@@ -26,6 +26,10 @@ from .matching import MatchGraph, Matching, build_graph, exact_mwm, greedy_mwm
 from .metric import RHO_SUM, check_rho, root_pseudometric
 from .rootfind import RootfindReport, roots as find_roots
 
+MATCHER_GREEDY = "greedy"  # greedy_mwm
+MATCHER_EXACT = "exact"  # exact_mwm
+MATCHERS = (MATCHER_GREEDY, MATCHER_EXACT)  # in the order messages list them
+
 
 @dataclass
 class AgcdResult:
@@ -160,12 +164,18 @@ def _gcd_sample_nodes(gcd: RootList, p: LagrangePoly, q: LagrangePoly) -> np.nda
     return mid + half * np.sin(np.pi * (2 * np.arange(n) - n + 1) / (2 * n))
 
 
+def _side_note(side: str, topic: str, text: Optional[str]) -> List[str]:
+    """The line "<side> <topic>: <text>" of a run's warnings, in a list,
+    or no line without a text."""
+    return ["%s %s: %s" % (side, topic, text)] if text else []
+
+
 def approximate_gcd(
     p: LagrangePoly,
     q: LagrangePoly,
     params: ClusterParams,
-    matcher: str = "greedy",
-    rho: str = "sum",
+    matcher: str = MATCHER_GREEDY,
+    rho: str = RHO_SUM,
     sigma: Optional[float] = None,
 ) -> AgcdResult:
     """Run the full pipeline on a pair of sampled polynomials.
@@ -181,8 +191,9 @@ def approximate_gcd(
     for poly, name in ((p, "P"), (q, "Q")):
         if poly.peak == 0.0:
             raise ZeroPolynomialError("%s is identically zero; GCD undefined" % name)
-    if matcher not in ("greedy", "exact"):
-        raise InvalidParameterError("matcher must be 'greedy' or 'exact'")
+    if matcher not in MATCHERS:
+        names = " or ".join(map(repr, MATCHERS))
+        raise InvalidParameterError("matcher must be %s" % names)
     check_rho(rho)
     if sigma is not None:
         check_sigma(sigma)
@@ -202,7 +213,7 @@ def approximate_gcd(
 
     sigma = params.sigma if sigma is None else sigma
     graph = build_graph(p_clustered, q_clustered, sigma)
-    match = exact_mwm(graph) if matcher == "exact" else greedy_mwm(graph)
+    match = exact_mwm(graph) if matcher == MATCHER_EXACT else greedy_mwm(graph)
     gcd = assemble_gcd(match, graph)
     p_tilde = reconstruct(p_clustered, match, "left", gcd)
     q_tilde = reconstruct(q_clustered, match, "right", gcd)
@@ -214,15 +225,14 @@ def approximate_gcd(
 
     dist_p, cert_p = certify_distance(p_report.roots, p_tilde, sigma, rho=rho)
     dist_q, cert_q = certify_distance(q_report.roots, q_tilde, sigma, rho=rho)
-    notes = ["%s nodes: %s" % (n, x.note) for n, x in (("P", p), ("Q", q)) if x.note]
+    notes = _side_note("P", "nodes", p.note) + _side_note("Q", "nodes", q.note)
     notes += [
         "distance certificate failed for %s: d=%.6g > sigma=%.6g" % (name, d, sigma)
         for name, ok, d in (("P", cert_p, dist_p), ("Q", cert_q, dist_q))
         if not ok
     ]
     for name, rep in (("P", p_report), ("Q", q_report)):
-        if rep.backward_note:
-            notes.append("%s rootfinding: %s" % (name, rep.backward_note))
+        notes += _side_note(name, "rootfinding", rep.backward_note)
 
     return AgcdResult(
         gcd_roots=gcd,

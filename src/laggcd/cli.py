@@ -25,10 +25,11 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from .agcd import AgcdResult, approximate_gcd
-from .cluster import ClusterParams, cluster as run_cluster
+from .agcd import MATCHER_GREEDY, MATCHERS, AgcdResult, _side_note, approximate_gcd
+from .cluster import ClusterParams, Strategy, cluster as run_cluster
 from .errors import LagGcdError
 from .lagpoly import LagrangePoly, RootList
+from .metric import RHO_SUM, RHOS
 from .problemfile import ProblemFile, load_points, load_problem
 from .rootfind import roots as find_roots
 
@@ -119,17 +120,17 @@ def _read_side(pf: ProblemFile, side: str) -> LagrangePoly:
     """Side P or Q of pf as a LagrangePoly; its node note goes to stderr."""
     x, y = (pf.px, pf.py) if side == "P" else (pf.qx, pf.qy)
     poly = LagrangePoly(x, y)
-    if poly.note:
-        print("warning: %s nodes: %s" % (side, poly.note), file=sys.stderr)
+    for line in _side_note(side, "nodes", poly.note):
+        print("warning: " + line, file=sys.stderr)
     return poly
 
 
 def _run_params(args, pf: Optional[ProblemFile] = None):
-    """Base sigma and ClusterParams.
+    """Base sigma, rho and ClusterParams.
 
     Each value comes from its flag, else from the problem file; the cluster
     sigma still unset is the base sigma, and any other option still unset
-    keeps its ClusterParams default.
+    keeps its library default (approximate_gcd's rho, ClusterParams' own).
     """
     def given(name, default=None):
         value = getattr(args, name, None)
@@ -137,12 +138,10 @@ def _run_params(args, pf: Optional[ProblemFile] = None):
         return default if value is None else value
 
     sigma = given("sigma")
-    options = {
-        name: given(name)
-        for name in ("max_multiplicity", "strategy")
-        if given(name) is not None
-    }
-    return sigma, ClusterParams(sigma=given("sigma_cluster", sigma), **options)
+    names = ("max_multiplicity", "strategy")
+    options = {name: given(name) for name in names if given(name) is not None}
+    params = ClusterParams(sigma=given("sigma_cluster", sigma), **options)
+    return sigma, given("rho", RHO_SUM), params
 
 
 def cmd_roots(args) -> int:
@@ -157,6 +156,8 @@ def cmd_roots(args) -> int:
         ],
         "discarded": report.discarded_count,
         "note": report.backward_note,
+        "warnings": _side_note(args.side, "nodes", poly.note)
+        + _side_note(args.side, "rootfinding", report.backward_note),
     }
     _emit(_dumps(payload), args.output)
     return 0
@@ -216,8 +217,7 @@ def repr_complex(z: complex) -> str:
 
 def cmd_agcd(args) -> int:
     pf = load_problem(args.file)
-    sigma, params = _run_params(args, pf)
-    rho = args.rho or pf.rho or "sum"
+    sigma, rho, params = _run_params(args, pf)
     p, q = _read_side(pf, "P"), _read_side(pf, "Q")
     settings = {
         "sigma": sigma,
@@ -235,7 +235,7 @@ def cmd_agcd(args) -> int:
 
 def cmd_cluster(args) -> int:
     points = load_points(args.file)
-    _, params = _run_params(args)
+    _, _, params = _run_params(args)
     clustered = run_cluster(points, params)
     unused = Counter(points.entries)
     buf = io.StringIO()
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp, func in ((p_agcd, cmd_agcd), (p_cluster, cmd_cluster)):
         sp.add_argument("file")
         sp.add_argument("--sigma", type=_number(float, 0), required=sp is p_cluster)
-        sp.add_argument("--strategy", choices=["dnc", "heuristic"])
+        sp.add_argument("--strategy", choices=[s.value for s in Strategy])
         sp.add_argument(
             "--max-mult", dest="max_multiplicity", type=_number(int, 1),
             help="largest cluster size; only the heuristic strategy reads it",
@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=func)
     p_agcd.add_argument("--sigma-cluster", type=_number(float, 0))
-    p_agcd.add_argument("--rho", choices=["sum", "max"])
-    p_agcd.add_argument("--matcher", choices=["greedy", "exact"], default="greedy")
+    p_agcd.add_argument("--rho", choices=RHOS)
+    p_agcd.add_argument("--matcher", choices=MATCHERS, default=MATCHER_GREEDY)
     p_agcd.add_argument("--graph-csv", metavar="PATH")
 
     return parser

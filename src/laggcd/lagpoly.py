@@ -35,7 +35,8 @@ _NODE_SETS = 64
 
 
 def barycentric_weights(nodes) -> np.ndarray:
-    """Normalization factors w_k = 1 / prod_{j != k} (x_k - x_j).
+    """Normalization factors w_k = 1 / prod_{j != k} (x_k - x_j), a fresh,
+    writeable copy of the node set's weights (_node_set).
 
     A single node yields [1]. The node differences are formed once, both
     to check the gaps and to take the products: coincident nodes raise
@@ -45,7 +46,10 @@ def barycentric_weights(nodes) -> np.ndarray:
     weight whose product overflows or underflows (infinite, NaN or exactly
     0), raises DegenerateInputError.
     """
-    return _weights(nodes)[0]
+    x = _complex_array(nodes, "nodes")
+    if x.ndim != 1 or len(x) == 0:
+        raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
+    return np.array(_node_set(x.tobytes()).weights)
 
 
 def _complex_array(data, name: str) -> np.ndarray:
@@ -58,17 +62,32 @@ def _complex_array(data, name: str) -> np.ndarray:
         raise InvalidParameterError("%s must be numbers (%s)" % (name, exc)) from None
 
 
-def _weights(nodes) -> Tuple[np.ndarray, Optional[str], float]:
-    """barycentric_weights, the node note (the text on nearly coincident
-    nodes, or None) and the spread, the largest distance between nodes."""
-    x = _complex_array(nodes, "nodes")
-    if x.ndim != 1 or len(x) == 0:
-        raise InvalidParameterError("nodes must be a non-empty 1-d sequence")
+class _NodeSet(NamedTuple):
+    """What a polynomial's nodes alone determine, computed once per
+    distinct node array (_node_set). The arrays are read-only."""
+
+    nodes: np.ndarray
+    weights: np.ndarray  # barycentric_weights
+    note: Optional[str]  # the text on nearly coincident nodes, or None
+    spread: float  # the largest distance between two nodes
+    center: complex  # nodes.mean(), the centre of roots()' far field
+    column: np.ndarray  # weights / max|w|, column 0 of the scaled pencil
+    real: bool  # neither nodes nor column has an imaginary part
+
+
+@functools.lru_cache(maxsize=_NODE_SETS)
+def _node_set(key: bytes) -> _NodeSet:
+    """The node set of the 1-d, non-empty complex128 nodes whose bytes
+    are key, with barycentric_weights' checks and errors.
+
+    Cached on key, so that equal nodes share one record; nodes that differ
+    only in the sign of a zero differ in their bytes and get their own.
+    An error is not cached, so it is raised again on every call.
+    """
+    x = np.frombuffer(key, dtype=complex)  # read-only, held by the key
     finite = np.isfinite(x)
     if not finite.all():
         raise InvalidParameterError("nodes must be finite, got %s" % x[~finite][0])
-    if len(x) == 1:
-        return np.ones(1, dtype=complex), None, 0.0
     with np.errstate(all="ignore"):  # overflow and underflow are checked below
         diff = x[:, None] - x[None, :]
         gaps = np.abs(diff)
@@ -79,7 +98,7 @@ def _weights(nodes) -> Tuple[np.ndarray, Optional[str], float]:
         raise DegenerateInputError("node differences overflow (spread inf)")
     np.fill_diagonal(gaps, spread)  # so that the minimum is over pairs only
     smallest = gaps.min()
-    if spread == 0.0 or smallest <= DUPLICATE_GAP_RTOL * spread:
+    if len(x) > 1 and (spread == 0.0 or smallest <= DUPLICATE_GAP_RTOL * spread):
         raise DuplicateNodesError(
             "nodes must be pairwise distinct (smallest gap %.3e, spread %.3e)"
             % (smallest, spread)
@@ -96,37 +115,10 @@ def _weights(nodes) -> Tuple[np.ndarray, Optional[str], float]:
             "%d of the %d barycentric weights overflow or underflow "
             "(node spread %.3e)" % (bad, len(x), spread)
         )
-    return weights, note, spread
-
-
-class _NodeSet(NamedTuple):
-    """What a polynomial's nodes alone determine, computed once per
-    distinct node array (_node_set). The arrays are read-only."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    note: Optional[str]
-    spread: float
-    center: complex  # nodes.mean(), the centre of roots()' far field
-    column: np.ndarray  # weights / max|w|, column 0 of the scaled pencil
-    real: bool  # neither nodes nor column has an imaginary part
-
-
-@functools.lru_cache(maxsize=_NODE_SETS)
-def _node_set(key: bytes) -> _NodeSet:
-    """The node set of the complex128 nodes whose bytes are key, checked
-    by _weights.
-
-    Cached on key, so that equal nodes share one record; nodes that differ
-    only in the sign of a zero differ in their bytes and get their own.
-    An error is not cached, so it is raised again on every call.
-    """
-    nodes = np.frombuffer(key, dtype=complex)  # read-only, held by the key
-    weights, note, spread = _weights(nodes)
     column = weights / np.abs(weights).max()
     weights.flags.writeable = column.flags.writeable = False
-    real = not (nodes.imag.any() or column.imag.any())
-    return _NodeSet(nodes, weights, note, spread, nodes.mean(), column, real)
+    real = not (x.imag.any() or column.imag.any())
+    return _NodeSet(x, weights, note, spread, x.mean(), column, real)
 
 
 class LagrangePoly:
@@ -189,10 +181,15 @@ def evaluate(p: LagrangePoly, z):
     factor of l(z) is scaled by an exact power of two, so that the product
     cannot overflow or underflow on its way. If z coincides exactly with
     a node the stored value is returned unchanged (no tolerance involved).
-    A z that is no number raises InvalidParameterError.
+    A z that is no number, NaN or infinite raises InvalidParameterError.
     """
     zarr = _complex_array(z, "evaluation points")
     zz = zarr.reshape(-1)
+    finite = np.isfinite(zz)
+    if not finite.all():
+        raise InvalidParameterError(
+            "evaluation points must be finite, got %s" % zz[~finite][0]
+        )
     diff = zz[:, None] - p.nodes[None, :]
     out = np.empty(len(zz), dtype=complex)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)

@@ -47,6 +47,7 @@ from .lagpoly import RootList, _complex_array
 
 RHO_SUM = "sum"
 RHO_MAX = "max"
+RHOS = (RHO_SUM, RHO_MAX)  # every rho, in the order messages list them
 
 # rho="max" tries pairing shared coordinates first from this many roots
 # up. Below it the sort and the slices cost more than the dense search
@@ -145,9 +146,10 @@ def _max_distance(fv: np.ndarray, gv: np.ndarray, both: np.ndarray) -> float:
 
 
 def check_rho(rho) -> None:
-    """Raise InvalidParameterError unless rho is "sum" or "max"."""
-    if rho not in (RHO_SUM, RHO_MAX):
-        raise InvalidParameterError("rho must be 'sum' or 'max', got %r" % (rho,))
+    """Raise InvalidParameterError unless rho is one of RHOS."""
+    if rho not in RHOS:
+        names = " or ".join(map(repr, RHOS))
+        raise InvalidParameterError("rho must be %s, got %r" % (names, rho))
 
 
 def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:

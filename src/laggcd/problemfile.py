@@ -13,9 +13,11 @@ tolerance:
       "sigmaOverrides": {"cluster": 1e-3}  # optional; else clusters at sigma
     }
 
-Numbers are plain reals or [re, im] pairs, all finite doubles. A points
-file for the cluster command is a JSON array of [root, multiplicity]
-entries, where root again is a real or an [re, im] pair.
+Any other field is an error, so that a misspelt option cannot fall back
+to its default unnoticed. Numbers are plain reals or [re, im] pairs, all
+finite doubles. A points file for the cluster command is a JSON array of
+[root, multiplicity] entries, where root again is a real or an [re, im]
+pair.
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ from typing import Optional
 
 import numpy as np
 
+from .cluster import Strategy
 from .errors import ProblemFileError
 from .lagpoly import RootList
+from .metric import RHOS
+
+_REQUIRED = ("px", "py", "qx", "qy", "sigma")
+_OPTIONAL = ("strategy", "maxMultiplicity", "rho", "sigmaOverrides")
 
 
 def _is_number(v) -> bool:
@@ -80,9 +87,12 @@ class ProblemFile:
 def parse_problem(data: dict) -> ProblemFile:
     if not isinstance(data, dict):
         raise ProblemFileError("problem file must be a JSON object")
-    missing = [k for k in ("px", "py", "qx", "qy", "sigma") if k not in data]
+    missing = [k for k in _REQUIRED if k not in data]
     if missing:
         raise ProblemFileError("missing required fields: %s" % ", ".join(missing))
+    unknown = sorted(map(repr, set(data).difference(_REQUIRED, _OPTIONAL)))
+    if unknown:
+        raise ProblemFileError("unknown fields: %s" % ", ".join(unknown))
     px = _scalar_array(data["px"], "px")
     py = _scalar_array(data["py"], "py")
     qx = _scalar_array(data["qx"], "qx")
@@ -102,7 +112,7 @@ def parse_problem(data: dict) -> ProblemFile:
     sigma_cluster = overrides.get("cluster")
     if sigma_cluster is not None:
         sigma_cluster = _tolerance(sigma_cluster, "sigmaOverrides.cluster")
-    for key, choices in (("strategy", ("dnc", "heuristic")), ("rho", ("sum", "max"))):
+    for key, choices in (("strategy", tuple(s.value for s in Strategy)), ("rho", RHOS)):
         if data.get(key) not in (None, *choices):
             raise ProblemFileError("%s must be one of %s" % (key, choices))
     max_mult = data.get("maxMultiplicity")

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import argparse
 import csv
+import inspect
 import io
+import itertools
 import json
 import warnings
 
@@ -10,9 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laggcd import LagrangePoly, RootList, cluster_dnc, from_roots, roots
+from laggcd import (
+    ClusterParams, LagrangePoly, RootList, Strategy, approximate_gcd, cluster_dnc,
+    from_roots, roots,
+)
 from laggcd import cli
+from laggcd.agcd import MATCHERS
 from laggcd.cli import main
+from laggcd.metric import RHOS, check_rho
+from laggcd.problemfile import parse_problem
 from conftest import PX, PY, QX, QY
 
 
@@ -453,6 +462,7 @@ class TestExitCodes:
         "unequal_q_lengths": {"qy": [1, 0]},
         "unknown_strategy": {"strategy": "bogus"},
         "unknown_rho": {"rho": "median"},
+        "misspelt_key": {"stratgy": "heuristic"},
     }
 
     @pytest.mark.parametrize("change", FILE_PROBES.values(), ids=FILE_PROBES.keys())
@@ -462,6 +472,11 @@ class TestExitCodes:
         assert code == 2 and out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_unknown_field_is_named(self, capsys, tmp_path):
+        doc = {**self.PROBE_BASE, "stratgy": "heuristic", "eps": 1e-3}
+        code, out, err = run(capsys, ["agcd", write_json(tmp_path, "typo.json", doc)])
+        assert (code, out, err) == (2, "", "error: unknown fields: 'eps', 'stratgy'\n")
 
     REMOVED_FLAGS = {
         "agcd_fixpoint": ["agcd", "PROBLEM", "--fixpoint"],
@@ -632,6 +647,31 @@ class TestInputWarnings:
         want = ["warning: P nodes: " + self.NOTE] if side == "P" else []
         assert err.splitlines() == want
 
+    @pytest.mark.parametrize("side", ["P", "Q"])
+    def test_roots_json_carries_the_node_note(self, capsys, tmp_path, side):
+        argv = ["roots", self.near_problem(tmp_path), "--side", side]
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        want = ["P nodes: " + self.NOTE] if side == "P" else []
+        assert code == 0 and payload["warnings"] == want and payload["note"] is None
+
+    def test_roots_json_lists_node_then_rootfinding_note(self, capsys, tmp_path):
+        # a quadratic sampled on four nodes, two nearly coincident: both
+        # notes of P
+        nodes = [0.0, 1.0, 2.0, 2.0 + 1e-9]
+        doc = {"px": nodes, "py": [(x + 1.0) * (x - 0.5) for x in nodes],
+               "qx": [0.0, 1.0, 3.0], "qy": [1.0, 0.0, 4.0], "sigma": 1e-3}
+        path = write_json(tmp_path, "low.json", doc)
+        code, out, _ = run(capsys, ["roots", path])
+        payload = json.loads(out)
+        assert code == 0 and payload["note"].startswith("sampled data appears")
+        want = ["P nodes: " + self.NOTE, "P rootfinding: " + payload["note"]]
+        assert payload["warnings"] == want
+        # agcd words P's notes the same way
+        code, out, _ = run(capsys, ["agcd", path])
+        assert code == 0
+        assert [w for w in json.loads(out)["warnings"] if w.startswith("P ")] == want
+
     def test_note_precedes_the_error(self, capsys, tmp_path):
         path = self.near_problem(tmp_path, qx=(0.0, 1.0, 1.0))
         code, out, err = run(capsys, ["agcd", path])
@@ -639,3 +679,53 @@ class TestInputWarnings:
         first, second = err.splitlines()
         assert first == "warning: P nodes: " + self.NOTE
         assert second.startswith("error: nodes must be pairwise distinct")
+
+
+def parser_options(command):
+    """The options of one subcommand of the shared parser, by dest."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+class TestVocabularies:
+    """Each option's names and default have one owner in the library."""
+
+    def test_names_and_defaults_come_from_the_library(self, capsys, tmp_path):
+        strategies = tuple(s.value for s in Strategy)
+        library = inspect.signature(approximate_gcd).parameters
+        for command in ("agcd", "cluster"):
+            option = parser_options(command)["strategy"]
+            assert tuple(option.choices) == strategies and option.default is None
+        options = parser_options("agcd")
+        assert tuple(options["rho"].choices) == RHOS and options["rho"].default is None
+        assert tuple(options["matcher"].choices) == MATCHERS
+        assert options["matcher"].default == library["matcher"].default
+
+        # nothing set: the payload reports the library's defaults
+        base = {"px": [0, 1, 2], "py": [1, 2, 5], "qx": [0, 1, 3], "qy": [1, 0, 4],
+                "sigma": 0.1}
+        code, out, _ = run(capsys, ["agcd", write_json(tmp_path, "base.json", base)])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["rho"] == library["rho"].default
+        assert payload["matcher"] == library["matcher"].default
+        assert payload["strategy"] == ClusterParams(sigma=0.1).strategy.value
+
+        # every name passes the file, the library and the CLI
+        p = LagrangePoly(base["px"], base["py"])
+        q = LagrangePoly(base["qx"], base["qy"])
+        for strategy, rho, matcher in itertools.product(strategies, RHOS, MATCHERS):
+            pf = parse_problem({**base, "strategy": strategy, "rho": rho})
+            assert (pf.strategy, pf.rho) == (strategy, rho)
+            params = ClusterParams(sigma=0.1, strategy=strategy)
+            check_rho(rho)
+            approximate_gcd(p, q, params, matcher=matcher, rho=rho)
+            argv = ["agcd", write_json(tmp_path, "names.json", base),
+                    "--strategy", strategy, "--rho", rho, "--matcher", matcher]
+            code, out, _ = run(capsys, argv)
+            payload = json.loads(out)
+            assert code == 0
+            assert [payload[k] for k in ("strategy", "rho", "matcher")] == [
+                strategy, rho, matcher
+            ]

@@ -71,6 +71,8 @@ OPTION_ERRORS = {
     # inf == inf, so only a check before the pairing of equal roots sees it
     "metric_inf_shared": lambda: root_pseudometric([INF, 1.0], [INF, 1.0]),
     "metric_complex_nan": lambda: root_pseudometric([0.0], [complex(0.0, NAN)]),
+    "evaluate_nan": lambda: evaluate(_poly(), NAN),
+    "evaluate_inf": lambda: evaluate(_poly(), [0.5, complex(0.0, -INF)]),
     "certify_sigma_nan": lambda: certify_distance([0.0], RootList([(0.0, 1)]), NAN),
     "certify_sigma_negative": lambda: certify_distance(
         [0.0], RootList([(0.0, 1)]), -1.0

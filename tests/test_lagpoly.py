@@ -78,6 +78,17 @@ class TestBarycentricWeights:
     def test_single_node(self):
         assert np.array_equal(barycentric_weights([3.7]), [1.0 + 0j])
 
+    def test_single_node_shares_the_record(self):
+        w = barycentric_weights([3.7])
+        p = LagrangePoly([3.7], [2.0])
+        record = _node_set(np.array([3.7], dtype=complex).tobytes())
+        assert p._node_set is record and p.weights is record.weights
+        one = np.array([1 + 0j]).tobytes()  # +0j: the bytes see a signed zero
+        assert w.tobytes() == record.weights.tobytes() == one
+        assert w is not record.weights and w.flags.writeable
+        assert (record.note, record.spread, p.note, p.spread) == (None, 0.0, None, 0.0)
+        assert p(-1.0) == 2.0
+
     def test_reference_nodes_against_product_oracle(self):
         w = barycentric_weights(PX)
         expected = product_weights(PX)
