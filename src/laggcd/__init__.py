@@ -1,10 +1,11 @@
 """Approximate GCD of univariate polynomials given by values at nodes.
 
 The pipeline never converts to monomial coefficients: roots come from a
-companion pencil built directly on the node/value data, nearby roots are
-clustered into multiple roots, the two clustered root sets are matched in
-a bipartite graph, and the GCD plus nearby polynomial pair are assembled
-in root form and re-sampled wherever needed.
+companion pencil built directly on the node/value data or, from degree 64
+up on real nodes, from Aberth's iteration on its barycentric sums; nearby
+roots are clustered into multiple roots, the two clustered root sets are
+matched in a bipartite graph, and the GCD plus nearby polynomial pair are
+assembled in root form and re-sampled wherever needed.
 """
 
 from .agcd import (

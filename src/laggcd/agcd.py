@@ -184,7 +184,9 @@ def approximate_gcd(
     both the graph's edges and the distance certificate. The clustered
     roots are the graph's left (P) and right (Q) sides. Diagnostics go
     only to AgcdResult.warnings: each input's LagrangePoly.note, each failed
-    certify_distance with its distance, then each side's rootfinding note.
+    certify_distance with its distance, then each side's rootfinding note
+    and, where its inclusion disks are known, the note on those wider than
+    sigma (RootfindReport.wide_disk_note).
     A side whose rootfinding keeps no root raises DegenerateInputError.
     No output polynomial is built here; AgcdResult builds them on read.
     """
@@ -233,6 +235,7 @@ def approximate_gcd(
     ]
     for name, rep in (("P", p_report), ("Q", q_report)):
         notes += _side_note(name, "rootfinding", rep.backward_note)
+        notes += _side_note(name, "rootfinding", rep.wide_disk_note(sigma))
 
     return AgcdResult(
         gcd_roots=gcd,

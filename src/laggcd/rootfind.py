@@ -1,15 +1,26 @@
-"""Companion-pencil rootfinding for polynomials in node/value form.
+"""Rootfinding for polynomials in node/value form, by two methods.
 
-The degree-n polynomial sampled at n+1 nodes is embedded in an
-(n+2) x (n+2) pencil (C0, C1) whose finite generalized eigenvalues are the
-polynomial's roots; det(z*C1 - C0) equals the interpolant at z. The pencil
-carries two eigenvalues at infinity which are filtered after the solve.
-The solver builds the pencil with row 0 and column 0 scaled to a largest
-modulus of 1, in real arithmetic when the data are real.
+Companion pencil (QZ): the degree-n polynomial sampled at n+1 nodes is
+embedded in an (n+2) x (n+2) pencil (C0, C1) whose finite generalized
+eigenvalues are the polynomial's roots; det(z*C1 - C0) equals the
+interpolant at z. The pencil carries two eigenvalues at infinity which are
+filtered after the solve. The solver builds the pencil with row 0 and
+column 0 scaled to a largest modulus of 1, in real arithmetic when the
+data are real. It costs O(n^3) and runs below degree 64, on complex nodes,
+and wherever Aberth's iteration gives up.
+
+Aberth-Ehrlich: from degree 64 up on real nodes, all n roots are refined
+together, each sweep O(n^2), using only the barycentric sums
+t_k(z) = w_k f_k / (z - x_k), s(z) = sum_k t_k, on which
+p(z) = prod_k (z - x_k) * s(z) and p'/p = sum_k 1/(z - x_k) + s'/s. The
+same sums at the final roots give each root's Weierstrass inclusion disk,
+which says how far the data determine it: the iteration stops on
+rounding-level sums, and "converged" does not mean "accurate".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -31,6 +42,23 @@ SPURIOUS_BETA_RTOL = 1e-10
 # artifacts of sampled data whose actual degree is below nominal.
 FAR_ROOT_FACTOR = 1e6
 _TINY = np.finfo(float).tiny  # the smallest normal double
+_EPS = np.finfo(float).eps
+# Aberth replaces QZ from this degree up, on real nodes. Below it QZ is
+# faster: 0.035 against 0.20 ms at degree 4, 0.29 against 0.76 ms at 32.
+_ABERTH_DEGREE = 64
+# Sweeps after which Aberth gives up and QZ solves. Well-conditioned data
+# take 5-24 sweeps at degree 64-512; random values, on Chebyshev or
+# equispaced nodes, at most 21 at degree 64-256, and the sides of the
+# benchmark's large_degree workload 13-18.
+_ABERTH_SWEEPS = 60
+# A root more than this many node spreads from the node centre, with a
+# disk wider than the spread, sends the side to QZ: that is where data of
+# lower degree than nominal put their excess roots (on 65 nodes, 2.4 to
+# 4.5e7 spreads out for degree 56 to 63, with disks of 20 to 3e9 spreads).
+# Roots that the data fix have small disks wherever they lie (random
+# values put some 27 spreads out, with disks of 6e-11 spreads). Larger
+# drops leave the excess roots within reach, where their disks all meet.
+_ABERTH_FAR = 2.0
 
 Pencil = Tuple[np.ndarray, np.ndarray]  # (c0, c1)
 
@@ -39,17 +67,49 @@ Pencil = Tuple[np.ndarray, np.ndarray]  # (c0, c1)
 class RootfindReport:
     """The finite roots of poly, sorted by (real, imaginary) part.
 
-    residuals, |poly| at each root, is computed on first read and cached.
+    residuals, |poly| at each root, comes from the final barycentric sums
+    where Aberth found the roots; after QZ it is computed on first read by
+    evaluate, and cached. radii are the roots' Weierstrass inclusion-disk
+    radii, in the roots' order, where Aberth found them, else None.
     """
 
     roots: np.ndarray
     discarded_count: int
     poly: LagrangePoly
     backward_note: Optional[str] = None
+    radii: Optional[np.ndarray] = None
 
     @cached_property
     def residuals(self) -> np.ndarray:
         return np.abs(evaluate(self.poly, self.roots))
+
+    def wide_disk_note(self, sigma: float) -> Optional[str]:
+        """The text on the roots whose inclusion disks are wider than sigma,
+        naming the widest, or None (and always None after QZ)."""
+        if self.radii is None:
+            return None
+        wide = np.count_nonzero(self.radii > sigma)
+        if not wide:
+            return None
+        k = int(np.argmax(self.radii))
+        return (
+            "%d of %d roots have inclusion disks wider than sigma=%.6g, "
+            "widest %s (radius %.3g); the data do not fix them to sigma"
+            % (wide, len(self.roots), sigma, _root_text(self.roots[k]), self.radii[k])
+        )
+
+
+def _root_text(z: complex) -> str:
+    return "%.6g%+.6gj" % (z.real, z.imag)
+
+
+def _unit_values(values: np.ndarray, peak: float) -> np.ndarray:
+    """values divided by their largest modulus, peak. A subnormal peak is
+    first raised by 2**1000 with the values, as numpy's complex division
+    takes 1 / peak, which would overflow."""
+    if peak < _TINY:
+        values, peak = values * 2.0**1000, peak * 2.0**1000
+    return values / peak
 
 
 def build_pencil(p: LagrangePoly) -> Pencil:
@@ -83,20 +143,15 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
     """Homogeneous eigenvalues (alpha, beta) of p's pencil, by one LAPACK
     ?ggev call without eigenvectors.
 
-    This is build_pencil(p) with row 0 divided by max|f| and column 0 by
-    max|w|, which scales the determinant by a constant only; a
-    power-of-two factor on the values then leaves the solve bit-identical.
-    The column is the node set's, shared by every polynomial on p's nodes.
-    A subnormal max|f| is first raised by 2**1000 with its row, as numpy's
-    complex division takes 1 / max|f|, which would overflow. A pencil
-    without imaginary part is built and solved in real arithmetic.
+    This is build_pencil(p) with row 0 divided by max|f| (_unit_values)
+    and column 0 by max|w|, which scales the determinant by a constant
+    only; a power-of-two factor on the values then leaves the solve
+    bit-identical. The column is the node set's, shared by every
+    polynomial on p's nodes. A pencil without imaginary part is built and
+    solved in real arithmetic.
     """
     node_set = p._node_set
-    top, row = p.peak, -p.values
-    if top < _TINY:
-        row *= 2.0**1000
-        top *= 2.0**1000
-    row /= top
+    row = _unit_values(-p.values, p.peak)
     column, diagonal = node_set.column, node_set.nodes
     if node_set.real and not row.imag.any():
         row, column, diagonal = row.real, column.real, diagonal.real
@@ -122,13 +177,131 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def roots(p: LagrangePoly) -> RootfindReport:
-    """All finite roots of the sampled polynomial; their residuals are
-    computed when first read.
+def _aberth(p: LagrangePoly, wf: np.ndarray) -> Optional[np.ndarray]:
+    """p's n roots by Aberth-Ehrlich iteration, unordered, or None once
+    _ABERTH_SWEEPS sweeps have not fixed them all; p's nodes are real.
 
-    Returns exactly n roots for full-degree data. If the data's actual
-    degree is lower, far-field eigenvalues are discarded as well and a
-    diagnostic note is attached rather than padding the list.
+    wf is w_k f_k up to a constant factor. The starts are the midpoints of
+    the sorted nodes, lifted by 1e-3 node spreads into the upper half
+    plane. Each sweep works on the roots still moving: the Newton
+    correction N = 1 / (p'/p) from the barycentric sums, then Aberth's
+    step N / (1 - N * sum_{j != i} 1 / (z_i - z_j)). A root is fixed after
+    the sweep whose step left it in place to rounding, or that started
+    from a rounding-level sum, |s| <= 4 (n+1) eps sum_k |t_k|; that last
+    step is taken. A step that is not finite (from an iterate exactly on a
+    node or on another root) is taken as 0.
+    """
+    x, n = p.nodes, p.degree
+    ends = np.sort(x.real)
+    z = 0.5 * (ends[1:] + ends[:-1]) + 1e-3j * p.spread
+    active = np.arange(n)
+    tol, size = 4 * (n + 1) * _EPS, np.abs(wf)
+    for _ in range(_ABERTH_SWEEPS):
+        za = z[active]
+        # one n x (n+1) array at a time: 1/(z - x_k), then its square
+        inv = za[:, None] - x
+        np.reciprocal(inv, out=inv)
+        s, total = inv @ wf, inv.sum(axis=1)
+        done = np.abs(s) <= tol * (np.abs(inv) @ size)
+        newton = s / (s * total - np.square(inv, out=inv) @ wf)
+        repel = np.reciprocal(za[:, None] - z)  # 1/(z_i - z_j), j != i
+        repel[np.arange(len(active)), active] = 0.0
+        step = newton / (1.0 - newton * repel.sum(axis=1))
+        step[~np.isfinite(step)] = 0.0
+        done |= np.abs(step) <= _EPS * np.abs(za)
+        z[active] = za - step
+        active = active[~done]
+        if not len(active):
+            return z
+    return None
+
+
+def _inclusion_disks(
+    p: LagrangePoly, wf: np.ndarray, z: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(radii, residuals, meet) at the roots z of p, from the barycentric
+    sums there, with wf as in _aberth.
+
+    Root j's Weierstrass correction is W_j = p(z_j) / (lc * prod_{k != j}
+    (z_j - z_k)), lc = sum_k w_k f_k the leading coefficient, and its disk
+    has radius n |W_j|: the union of the disks holds every root of p, and
+    a component of m disks exactly m. All of it is taken in log space, so
+    that no product overflows on its way. The residual |p(z_j)| is
+    |prod_k (z_j - x_k)| |s(z_j)| with s's constant factor max|w| * peak
+    put back. At a root exactly on a node x_k, where the sums are not
+    finite, p is the datum f_k, as in evaluate. meet[j, k] is whether the
+    disks of z_j and z_k, j != k, meet.
+    """
+    n = len(z)
+    diff = z[:, None] - p.nodes
+    hit_rows, hit_cols = np.nonzero(diff == 0.0)
+    log_p = np.log(np.abs(diff)).sum(axis=1)
+    log_p += np.log(np.abs(np.reciprocal(diff, out=diff) @ wf))
+    # wf_k / w_k is f_k with the sums' constant factor taken out
+    log_p[hit_rows] = np.log(np.abs(wf[hit_cols] / p.weights[hit_cols]))
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, 1.0)
+    log_w = log_p - np.log(abs(wf.sum())) - np.log(gaps).sum(axis=1)
+    radii = n * np.exp(log_w)
+    scale = math.log(np.abs(p.weights).max()) + math.log(p.peak)
+    residuals = np.exp(log_p + scale)
+    np.fill_diagonal(gaps, np.inf)
+    return radii, residuals, gaps <= radii[:, None] + radii
+
+
+def _aberth_report(p: LagrangePoly) -> Optional[RootfindReport]:
+    """roots(p) by _aberth, or None where QZ should solve instead: past the
+    sweep cap, for a disk or residual that is not finite, and for a root
+    beyond _ABERTH_FAR node spreads from the node centre whose disk is
+    wider than the spread."""
+    wf = p._node_set.column * _unit_values(p.values, p.peak)
+    with np.errstate(all="ignore"):
+        z = _aberth(p, wf)
+        if z is None or not np.isfinite(z).all():
+            return None
+        z = z[np.lexsort((z.imag, z.real))]
+        radii, residuals, meet = _inclusion_disks(p, wf, z)
+    if not (np.isfinite(radii).all() and np.isfinite(residuals).all()):
+        return None
+    far = np.abs(z - p._node_set.center) > _ABERTH_FAR * p.spread
+    if (radii[far] > p.spread).any():
+        return None
+    note = None
+    if meet.any():
+        a, b = np.argwhere(meet)[0]  # the first pair in the roots' order
+        note = (
+            "%d of %d roots have inclusion disks that meet another's, "
+            "first %s and %s (radii %.3g and %.3g); the data do not "
+            "separate them"
+            % (np.count_nonzero(meet.any(axis=1)), len(z), _root_text(z[a]),
+               _root_text(z[b]), radii[a], radii[b])
+        )
+    report = RootfindReport(
+        roots=z, discarded_count=2, poly=p, backward_note=note, radii=radii
+    )
+    report.residuals = residuals  # the cached value, from the same sums
+    return report
+
+
+def roots(p: LagrangePoly) -> RootfindReport:
+    """All finite roots of the sampled polynomial.
+
+    From degree 64 up on real nodes, Aberth's iteration finds them
+    (_aberth_report) and reports each root's inclusion-disk radius; its
+    residuals come from the same sums. Where two disks meet, the note names
+    the first two such roots: the data do not separate them. The disks,
+    not convergence, say how accurate the roots are. Aberth returns
+    exactly n roots and counts the pencil's two infinities as discarded.
+    It gives way to QZ past its sweep cap, for a root more than two node
+    spreads from the node centre with a disk wider than the spread (the
+    mark of data whose degree is below nominal), and for a disk or
+    residual that is not finite.
+
+    QZ, below degree 64, on complex nodes and as that fallback, returns
+    exactly n roots for full-degree data; its residuals are computed when
+    first read. If the data's actual degree is lower, far-field
+    eigenvalues are discarded as well and a diagnostic note is attached
+    rather than padding the list.
     """
     if p.degree < 1:
         raise InvalidParameterError("rootfinding requires nominal degree >= 1")
@@ -136,6 +309,10 @@ def roots(p: LagrangePoly) -> RootfindReport:
         raise DegenerateInputError(
             "all sampled values are zero; the polynomial is identically zero"
         )
+    if p.degree >= _ABERTH_DEGREE and p._node_set.real:
+        report = _aberth_report(p)
+        if report is not None:
+            return report
     alpha, beta = _eigenvalues(p)
     beta_scale = max(1.0, float(np.abs(beta).max()))
     center = p._node_set.center

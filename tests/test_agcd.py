@@ -491,3 +491,23 @@ def test_lazy_outputs_match_eager_recomputation(pair):
     p, q = pair
     res = approximate_gcd(p, q, ClusterParams(sigma=SWAP_SIGMA))
     assert_lazy_outputs_are_eager(res, p, q)
+
+
+def test_inclusion_disks_wider_than_sigma_are_warned_per_side():
+    # degree 64 on the interior second-kind Chebyshev points: the disks
+    # are about 1e-15 wide, so sigma 1e-6 draws no warning and 1e-20 one
+    # per side
+    n = 64
+    nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+    planted = np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    p = LagrangePoly(nodes, np.prod(nodes[:, None] - planted, axis=1))
+    q = LagrangePoly(nodes, np.prod(nodes[:, None] - planted[:-1] - 1e-3, axis=1)
+                     * (nodes - 0.999))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert approximate_gcd(p, q, ClusterParams(sigma=1e-6)).warnings == []
+        res = approximate_gcd(p, q, ClusterParams(sigma=1e-6), sigma=1e-20)
+    assert res.warnings == [
+        "P rootfinding: " + res.p_report.wide_disk_note(1e-20),
+        "Q rootfinding: " + res.q_report.wide_disk_note(1e-20),
+    ]

@@ -672,6 +672,25 @@ class TestInputWarnings:
         assert code == 0
         assert [w for w in json.loads(out)["warnings"] if w.startswith("P ")] == want
 
+    def test_meeting_inclusion_disks_are_a_rootfinding_note(self, capsys, tmp_path):
+        # degree 128 on 0.95-scaled Chebyshev roots sampled by their
+        # product: Aberth's disks meet on both sides, and both commands
+        # word the note alike
+        x = np.cos((2 * np.arange(129) + 1) * np.pi / 258)
+        y = np.prod(x[:, None] - 0.95 * x[:-1], axis=1)
+        doc = {"px": x.tolist(), "py": y.tolist(), "qx": x.tolist(),
+               "qy": y.tolist(), "sigma": 1e-6}
+        path = write_json(tmp_path, "deg128.json", doc)
+        code, out, _ = run(capsys, ["roots", path])
+        payload = json.loads(out)
+        assert code == 0 and len(payload["roots"]) == 128
+        assert payload["discarded"] == 2
+        assert payload["note"].startswith("128 of 128 roots have inclusion disks that meet")
+        assert payload["warnings"] == ["P rootfinding: " + payload["note"]]
+        code, out, _ = run(capsys, ["agcd", path])
+        notes = json.loads(out)["warnings"]
+        assert code == 0 and "P rootfinding: " + payload["note"] in notes
+
     def test_note_precedes_the_error(self, capsys, tmp_path):
         path = self.near_problem(tmp_path, qx=(0.0, 1.0, 1.0))
         code, out, err = run(capsys, ["agcd", path])

@@ -35,12 +35,12 @@ def _load_workloads():
 W = _load_workloads()
 
 # workload: (seed, problem ids, solved, loud wrong, silent wrong); the
-# large_degree ids are its degree-64 problems, and cli_files runs
-# laggcd.cli.main on problem files
+# large_degree ids cycle through degrees 64, 128 and 256, and cli_files
+# runs laggcd.cli.main on problem files
 PINS = {
     "small_batch": (7, range(300), 278, 0, 22),
     "cli_files": (7, range(100), 78, 12, 10),
-    "large_degree": (1, range(0, 45, 3), 2, 0, 13),
+    "large_degree": (1, range(45), 8, 37, 0),
 }
 
 

@@ -18,6 +18,7 @@ from laggcd import (
     pencil_determinant,
     roots,
 )
+import laggcd.rootfind as rootfind_module
 from laggcd.rootfind import FAR_ROOT_FACTOR, SPURIOUS_BETA_RTOL, _eigenvalues
 from conftest import random_distinct_nodes
 
@@ -316,3 +317,171 @@ def test_chebyshev_roots_match_mpmath(n):
         )
     want = np.array([complex(r) for r in want])
     assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) <= 1e-12
+
+
+# ---------------------------------------------------------------- Aberth
+# From degree 64 up on real nodes roots() runs Aberth's iteration, which
+# reports inclusion-disk radii; QZ, which reports none, runs below that,
+# on complex nodes and wherever Aberth gives way.
+
+
+def chebyshev_planted(n):
+    """Samples at the n+1 first-kind Chebyshev points of the polynomial
+    whose roots are the n interior second-kind points cos(k pi/(n+1)),
+    ascending, with those roots."""
+    planted = np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+    nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+    return LagrangePoly(nodes, np.prod(nodes[:, None] - planted, axis=1)), planted
+
+
+def strict_roots(p):
+    """roots(p), with any Python warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return roots(p)
+
+
+def assert_qz_report(report, p):
+    """report is QZ's: the filtered eigenvalues byte for byte, no radii."""
+    want = oracle_kept_eigenvalues(p)
+    assert report.roots.tobytes() == want.tobytes()
+    assert report.discarded_count == p.degree + 2 - len(want)
+    assert report.radii is None
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_aberth_finds_well_conditioned_chebyshev_roots(n):
+    p, planted = chebyshev_planted(n)
+    report = strict_roots(p)
+    assert report.radii is not None and len(report.radii) == n
+    assert report.discarded_count == 2
+    assert np.max(np.abs(report.roots - planted)) <= 1e-13
+    assert report.backward_note is None
+    assert report.wide_disk_note(1e-6) is None
+
+
+def test_aberth_power_of_two_scaling_gives_identical_roots():
+    rng = np.random.default_rng(7)
+    nodes = np.cos((2 * np.arange(101) + 1) * np.pi / 202)
+    cases = [chebyshev_planted(128)[0], LagrangePoly(nodes, rng.uniform(-1, 1, 101))]
+    cases.append(LagrangePoly(nodes, cases[1].values * (1 - 0.5j)))
+    for p in cases:
+        base = strict_roots(p)
+        assert base.radii is not None
+        for k in (-40, -8, 3, 40):
+            scaled = strict_roots(LagrangePoly(p.nodes, p.values * 2.0**k))
+            assert scaled.roots.tobytes() == base.roots.tobytes()
+            assert scaled.radii.tobytes() == base.radii.tobytes()
+
+
+def test_aberth_on_subnormal_values_gives_the_roots_of_their_normal_scaling():
+    rng = np.random.default_rng(11)
+    nodes = np.cos((2 * np.arange(101) + 1) * np.pi / 202)
+    tiny = LagrangePoly(nodes, rng.uniform(-1, 1, 101) * 2.0**-1060)
+    assert tiny.peak < np.finfo(float).tiny
+    normal = LagrangePoly(nodes, tiny.values * 2.0**1000 * 2.0**60)
+    got, want = strict_roots(tiny), strict_roots(normal)
+    assert got.radii is not None
+    assert got.roots.tobytes() == want.roots.tobytes()
+
+
+def test_complex_nodes_keep_the_qz_roots_from_degree_64_up():
+    rng = np.random.default_rng(8)
+    for n in (64, 100):
+        nodes = 0.9 * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+        for values in (
+            rng.standard_normal(n + 1),
+            rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1),
+        ):
+            p = LagrangePoly(nodes, values)
+            assert_qz_report(strict_roots(p), p)
+
+
+def test_lower_degree_data_fall_back_to_qz():
+    # degree-60 data on 65 nodes: Aberth puts the 4 excess roots about 14
+    # node spreads out, with disks thousands of spreads wide
+    nodes = np.cos((2 * np.arange(65) + 1) * np.pi / 130)
+    planted = 0.9 * np.cos(np.arange(1, 61) * np.pi / 61)
+    p = LagrangePoly(nodes, np.prod(nodes[:, None] - planted, axis=1))
+    report = strict_roots(p)
+    assert_qz_report(report, p)
+    assert report.backward_note == (
+        "sampled data appears to have degree 60 < nominal 64; "
+        "6 eigenvalues discarded"
+    )
+
+
+def test_past_the_sweep_cap_qz_solves(monkeypatch):
+    rng = np.random.default_rng(9)
+    nodes = np.cos((2 * np.arange(129) + 1) * np.pi / 258)
+    p = LagrangePoly(nodes, rng.uniform(-1, 1, 129))
+    assert strict_roots(p).radii is not None  # Aberth, within the cap
+    monkeypatch.setattr(rootfind_module, "_ABERTH_SWEEPS", 3)
+    assert_qz_report(strict_roots(p), p)
+
+
+def test_aberth_residuals_agree_with_evaluate():
+    # At a root both are rounding noise: they agree to (n+1) eps relative
+    # to the size of the terms the barycentric sum cancels, |l(r)| times
+    # sum_k |w_k f_k / (r - x_k)|, which bounds either one's rounding error.
+    rng = np.random.default_rng(10)
+    nodes = np.cos((2 * np.arange(101) + 1) * np.pi / 202)
+    cases = [
+        chebyshev_planted(128)[0],
+        LagrangePoly(nodes, rng.standard_normal(101)),
+        LagrangePoly(3 * nodes + 7, rng.standard_normal(101) * 1e30),
+    ]
+    for p in cases:
+        report = strict_roots(p)
+        assert report.radii is not None
+        diff = report.roots[:, None] - p.nodes
+        scale = np.abs(diff).prod(axis=1) * np.abs(p.weights * p.values / diff).sum(axis=1)
+        got, want = report.residuals, np.abs(evaluate(p, report.roots))
+        assert np.all(np.abs(got - want) <= (p.degree + 1) * np.finfo(float).eps * scale)
+
+
+def test_aberth_root_on_a_node_takes_the_datum_there():
+    # a planted root exactly on node x_10: f_10 is 0, the sums there are
+    # not finite, and the disk and residual come from the datum
+    n = 64
+    nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+    planted = np.append(np.cos(np.arange(1, n) * np.pi / n), nodes[10])
+    report = strict_roots(LagrangePoly(nodes, np.prod(nodes[:, None] - planted, axis=1)))
+    assert report.radii is not None and report.backward_note is None
+    (at,) = np.flatnonzero(report.roots == nodes[10])
+    assert report.residuals[at] == 0.0 and report.radii[at] == 0.0
+
+
+def test_meeting_disks_are_noted():
+    # degree 128 on 0.95-scaled Chebyshev roots sampled by their product:
+    # the data do not separate the roots, and the note says so
+    n = 128
+    nodes = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+    planted = 0.95 * nodes[:-1]
+    report = strict_roots(LagrangePoly(nodes, np.prod(nodes[:, None] - planted, axis=1)))
+    assert len(report.roots) == n and report.radii is not None
+    z, rho = report.roots.tolist(), report.radii.tolist()
+    pairs = [
+        (a, b) for a in range(n) for b in range(n)
+        if a != b and abs(z[a] - z[b]) <= rho[a] + rho[b]
+    ]
+    a, b = pairs[0]
+    text = rootfind_module._root_text
+    assert report.backward_note == (
+        "%d of 128 roots have inclusion disks that meet another's, first %s "
+        "and %s (radii %.3g and %.3g); the data do not separate them"
+        % (len({a for a, _ in pairs}), text(z[a]), text(z[b]), rho[a], rho[b])
+    )
+
+
+def test_disks_wider_than_sigma_are_noted():
+    p, _ = chebyshev_planted(64)
+    report = strict_roots(p)
+    assert report.wide_disk_note(1e-6) is None
+    widest = int(np.argmax(report.radii))
+    assert report.wide_disk_note(0.0) == (
+        "64 of 64 roots have inclusion disks wider than sigma=0, widest %s "
+        "(radius %.3g); the data do not fix them to sigma"
+        % (rootfind_module._root_text(report.roots[widest]), report.radii[widest])
+    )
+    assert roots(LagrangePoly([0.0, 1.0, 3.0], [2.0, 0.0, 2.0])).wide_disk_note(0.0) is None
