@@ -61,6 +61,7 @@ _ABERTH_SWEEPS = 60
 _ABERTH_FAR = 2.0
 
 Pencil = Tuple[np.ndarray, np.ndarray]  # (c0, c1)
+Workspace = Tuple[np.ndarray, np.ndarray]  # complex and real, n (n+1) long
 
 
 @dataclass
@@ -177,19 +178,27 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def _aberth(p: LagrangePoly, wf: np.ndarray) -> Optional[np.ndarray]:
+def _rows(a: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The first m * k entries of the flat array a, as an m x k array."""
+    return a[: m * k].reshape(m, k)
+
+
+def _aberth(p: LagrangePoly, wf: np.ndarray, work: Workspace) -> Optional[np.ndarray]:
     """p's n roots by Aberth-Ehrlich iteration, unordered, or None once
     _ABERTH_SWEEPS sweeps have not fixed them all; p's nodes are real.
 
     wf is w_k f_k up to a constant factor. The starts are the midpoints of
     the sorted nodes, lifted by 1e-3 node spreads into the upper half
-    plane. Each sweep works on the roots still moving: the Newton
+    plane. Each sweep works on the m roots still moving: the Newton
     correction N = 1 / (p'/p) from the barycentric sums, then Aberth's
     step N / (1 - N * sum_{j != i} 1 / (z_i - z_j)). A root is fixed after
     the sweep whose step left it in place to rounding, or that started
     from a rounding-level sum, |s| <= 4 (n+1) eps sum_k |t_k|; that last
     step is taken. A step that is not finite (from an iterate exactly on a
-    node or on another root) is taken as 0.
+    node or on another root) is taken as 0. As m x (n+1) arrays at the
+    start of work, 1/(z - x_k) and then its square take the complex
+    buffer and |1/(z - x_k)| the real one; then 1/(z_i - z_j) takes the
+    complex buffer's first m n entries.
     """
     x, n = p.nodes, p.degree
     ends = np.sort(x.real)
@@ -197,15 +206,15 @@ def _aberth(p: LagrangePoly, wf: np.ndarray) -> Optional[np.ndarray]:
     active = np.arange(n)
     tol, size = 4 * (n + 1) * _EPS, np.abs(wf)
     for _ in range(_ABERTH_SWEEPS):
-        za = z[active]
-        # one n x (n+1) array at a time: 1/(z - x_k), then its square
-        inv = za[:, None] - x
+        za, m = z[active], len(active)
+        inv = np.subtract(za[:, None], x, out=_rows(work[0], m, n + 1))
         np.reciprocal(inv, out=inv)
         s, total = inv @ wf, inv.sum(axis=1)
-        done = np.abs(s) <= tol * (np.abs(inv) @ size)
+        done = np.abs(s) <= tol * (np.abs(inv, out=_rows(work[1], m, n + 1)) @ size)
         newton = s / (s * total - np.square(inv, out=inv) @ wf)
-        repel = np.reciprocal(za[:, None] - z)  # 1/(z_i - z_j), j != i
-        repel[np.arange(len(active)), active] = 0.0
+        repel = np.subtract(za[:, None], z, out=_rows(work[0], m, n))
+        np.reciprocal(repel, out=repel)  # 1/(z_i - z_j), j != i
+        repel[np.arange(m), active] = 0.0
         step = newton / (1.0 - newton * repel.sum(axis=1))
         step[~np.isfinite(step)] = 0.0
         done |= np.abs(step) <= _EPS * np.abs(za)
@@ -217,10 +226,10 @@ def _aberth(p: LagrangePoly, wf: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _inclusion_disks(
-    p: LagrangePoly, wf: np.ndarray, z: np.ndarray
+    p: LagrangePoly, wf: np.ndarray, z: np.ndarray, work: Workspace
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(radii, residuals, meet) at the roots z of p, from the barycentric
-    sums there, with wf as in _aberth.
+    sums there, with wf and work as in _aberth.
 
     Root j's Weierstrass correction is W_j = p(z_j) / (lc * prod_{k != j}
     (z_j - z_k)), lc = sum_k w_k f_k the leading coefficient, and its disk
@@ -230,37 +239,48 @@ def _inclusion_disks(
     |prod_k (z_j - x_k)| |s(z_j)| with s's constant factor max|w| * peak
     put back. At a root exactly on a node x_k, where the sums are not
     finite, p is the datum f_k, as in evaluate. meet[j, k] is whether the
-    disks of z_j and z_k, j != k, meet.
+    disks of z_j and z_k, j != k, meet. In work, z_j - x_k and then its
+    reciprocal take the complex buffer and log|z_j - x_k| the real one,
+    n x (n+1); then z_j - z_k the complex one, the gaps the real one, and
+    log gaps, then the reach r_j + r_k, the complex one read as reals, n x n.
     """
     n = len(z)
-    diff = z[:, None] - p.nodes
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    log_p = np.log(np.abs(diff)).sum(axis=1)
-    log_p += np.log(np.abs(np.reciprocal(diff, out=diff) @ wf))
-    # wf_k / w_k is f_k with the sums' constant factor taken out
-    log_p[hit_rows] = np.log(np.abs(wf[hit_cols] / p.weights[hit_cols]))
-    gaps = np.abs(z[:, None] - z)
+    diff = np.subtract(z[:, None], p.nodes, out=_rows(work[0], n, n + 1))
+    log_d = np.abs(diff, out=_rows(work[1], n, n + 1))
+    np.log(log_d, out=log_d)
+    log_p = log_d.sum(axis=1) + np.log(np.abs(np.reciprocal(diff, out=diff) @ wf))
+    if not np.isfinite(log_p).all():  # a root exactly on a node leaves -inf or NaN
+        hit_rows, hit_cols = np.nonzero(log_d == -np.inf)
+        # wf_k / w_k is f_k with the sums' constant factor taken out
+        log_p[hit_rows] = np.log(np.abs(wf[hit_cols] / p.weights[hit_cols]))
+    gaps = np.subtract(z[:, None], z, out=_rows(work[0], n, n))
+    gaps = np.abs(gaps, out=_rows(work[1], n, n))
     np.fill_diagonal(gaps, 1.0)
-    log_w = log_p - np.log(abs(wf.sum())) - np.log(gaps).sum(axis=1)
+    reals = _rows(work[0].view(float), n, n)
+    log_w = log_p - np.log(abs(wf.sum())) - np.log(gaps, out=reals).sum(axis=1)
     radii = n * np.exp(log_w)
     scale = math.log(np.abs(p.weights).max()) + math.log(p.peak)
     residuals = np.exp(log_p + scale)
     np.fill_diagonal(gaps, np.inf)
-    return radii, residuals, gaps <= radii[:, None] + radii
+    return radii, residuals, gaps <= np.add(radii[:, None], radii, out=reals)
 
 
 def _aberth_report(p: LagrangePoly) -> Optional[RootfindReport]:
     """roots(p) by _aberth, or None where QZ should solve instead: past the
     sweep cap, for a disk or residual that is not finite, and for a root
     beyond _ABERTH_FAR node spreads from the node centre whose disk is
-    wider than the spread."""
+    wider than the spread. _aberth and _inclusion_disks share one
+    workspace, a complex and a real buffer of n (n+1) entries (24 n (n+1)
+    bytes); each array they need is a contiguous view of a buffer's start."""
+    n = p.degree
+    work = np.empty(n * (n + 1), complex), np.empty(n * (n + 1))
     wf = p._node_set.column * _unit_values(p.values, p.peak)
     with np.errstate(all="ignore"):
-        z = _aberth(p, wf)
+        z = _aberth(p, wf, work)
         if z is None or not np.isfinite(z).all():
             return None
         z = z[np.lexsort((z.imag, z.real))]
-        radii, residuals, meet = _inclusion_disks(p, wf, z)
+        radii, residuals, meet = _inclusion_disks(p, wf, z, work)
     if not (np.isfinite(radii).all() and np.isfinite(residuals).all()):
         return None
     far = np.abs(z - p._node_set.center) > _ABERTH_FAR * p.spread
@@ -268,7 +288,7 @@ def _aberth_report(p: LagrangePoly) -> Optional[RootfindReport]:
         return None
     note = None
     if meet.any():
-        a, b = np.argwhere(meet)[0]  # the first pair in the roots' order
+        a, b = divmod(int(np.argmax(meet)), n)  # the first pair in the roots' order
         note = (
             "%d of %d roots have inclusion disks that meet another's, "
             "first %s and %s (radii %.3g and %.3g); the data do not "

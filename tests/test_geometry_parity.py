@@ -7,7 +7,9 @@ full sort per point for nearest neighbours, a binary search over every
 distinct distance for the bottleneck, a per-node product loop for
 sampling from roots, the dense assignment
 over all n x n distances for rho="sum", the per-entry check and sort of
-a RootList's constructor, and the full sort of reconstruct's output. The
+a RootList's constructor, the full sort of reconstruct's output, and
+Aberth's sweeps and inclusion disks with fresh arrays at every step and
+every meeting pair of disks listed to name the first. The
 fast versions must give the same Python objects and the same floats, bit
 for bit (rho="sum" only where its optimal assignment is unique; elsewhere
 to 1e-15 relative), and the constructor the same errors.
@@ -31,6 +33,7 @@ from scipy.spatial import cKDTree
 from laggcd import (
     ClusterParams,
     InvalidParameterError,
+    LagrangePoly,
     Matching,
     RootList,
     assemble_gcd,
@@ -51,6 +54,8 @@ from laggcd.metric import _PAIR_FIRST_MIN_N, _bottleneck, _unshared
 cluster_mod = importlib.import_module("laggcd.cluster")
 metric_mod = importlib.import_module("laggcd.metric")
 matching_mod = importlib.import_module("laggcd.matching")
+rootfind_mod = importlib.import_module("laggcd.rootfind")
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------- oracles
@@ -1275,3 +1280,179 @@ class TestSumAssignment:
         got = root_pseudometric(raw, rebuilt)
         assert got > 0.0
         assert bits(got) == bits(oracle_sum(raw, rebuilt))
+
+
+# ---------------------------------------------------------------- Aberth
+
+
+def oracle_aberth(p, wf):
+    """_aberth with fresh arrays every sweep."""
+    x, n = p.nodes, p.degree
+    ends = np.sort(x.real)
+    z = 0.5 * (ends[1:] + ends[:-1]) + 1e-3j * p.spread
+    active = np.arange(n)
+    tol, size = 4 * (n + 1) * EPS, np.abs(wf)
+    for _ in range(rootfind_mod._ABERTH_SWEEPS):
+        za = z[active]
+        inv = za[:, None] - x
+        np.reciprocal(inv, out=inv)
+        s, total = inv @ wf, inv.sum(axis=1)
+        done = np.abs(s) <= tol * (np.abs(inv) @ size)
+        newton = s / (s * total - np.square(inv, out=inv) @ wf)
+        repel = np.reciprocal(za[:, None] - z)
+        repel[np.arange(len(active)), active] = 0.0
+        step = newton / (1.0 - newton * repel.sum(axis=1))
+        step[~np.isfinite(step)] = 0.0
+        done |= np.abs(step) <= EPS * np.abs(za)
+        z[active] = za - step
+        active = active[~done]
+        if not len(active):
+            return z
+    return None
+
+
+def oracle_inclusion_disks(p, wf, z):
+    """_inclusion_disks with fresh arrays and a full scan for roots on nodes."""
+    n = len(z)
+    diff = z[:, None] - p.nodes
+    hit_rows, hit_cols = np.nonzero(diff == 0.0)
+    log_p = np.log(np.abs(diff)).sum(axis=1)
+    log_p += np.log(np.abs(np.reciprocal(diff, out=diff) @ wf))
+    log_p[hit_rows] = np.log(np.abs(wf[hit_cols] / p.weights[hit_cols]))
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, 1.0)
+    log_w = log_p - np.log(abs(wf.sum())) - np.log(gaps).sum(axis=1)
+    radii = n * np.exp(log_w)
+    scale = math.log(np.abs(p.weights).max()) + math.log(p.peak)
+    residuals = np.exp(log_p + scale)
+    np.fill_diagonal(gaps, np.inf)
+    return radii, residuals, gaps <= radii[:, None] + radii
+
+
+def oracle_aberth_report(p):
+    """(roots, radii, residuals, backward_note) of _aberth_report, with the
+    first meeting pair taken from the list of all of them, or None where
+    it gives way to QZ."""
+    wf = p._node_set.column * rootfind_mod._unit_values(p.values, p.peak)
+    with np.errstate(all="ignore"):
+        z = oracle_aberth(p, wf)
+        if z is None or not np.isfinite(z).all():
+            return None
+        z = z[np.lexsort((z.imag, z.real))]
+        radii, residuals, meet = oracle_inclusion_disks(p, wf, z)
+    if not (np.isfinite(radii).all() and np.isfinite(residuals).all()):
+        return None
+    far = np.abs(z - p._node_set.center) > rootfind_mod._ABERTH_FAR * p.spread
+    if (radii[far] > p.spread).any():
+        return None
+    note = None
+    if meet.any():
+        a, b = np.argwhere(meet)[0]
+        text = rootfind_mod._root_text
+        note = (
+            "%d of %d roots have inclusion disks that meet another's, "
+            "first %s and %s (radii %.3g and %.3g); the data do not "
+            "separate them"
+            % (np.count_nonzero(meet.any(axis=1)), len(z), text(z[a]),
+               text(z[b]), radii[a], radii[b])
+        )
+    return z, radii, residuals, note
+
+
+def assert_aberth_parity(p):
+    """_aberth_report(p) gives the oracle's roots, radii, residuals and
+    note byte for byte, or gives way to QZ where it does; returns the
+    report."""
+    got, want = rootfind_mod._aberth_report(p), oracle_aberth_report(p)
+    if want is None:
+        assert got is None
+        return got
+    z, radii, residuals, note = want
+    assert bits(got.roots) == bits(z)
+    assert bits(got.radii) == bits(radii)
+    assert bits(got.residuals) == bits(residuals)
+    assert got.backward_note == note
+    assert got.discarded_count == 2
+    return got
+
+
+def aberth_nodes(kind, n, rng):
+    """n+1 distinct real nodes of the given kind."""
+    cheb = np.cos((2 * np.arange(n + 1) + 1) * np.pi / (2 * n + 2))
+    if kind == "chebyshev":
+        return cheb
+    if kind == "equispaced":
+        return np.linspace(-1.0, 1.0, n + 1)
+    if kind == "random":
+        return np.sort(rng.uniform(-1.0, 1.0, n + 1))
+    return 0.3 + 5e-4 * cheb  # narrow: width 1e-3
+
+
+def aberth_values(kind, nodes, rng):
+    n = len(nodes) - 1
+    if kind == "real":
+        return rng.standard_normal(n + 1)
+    if kind == "complex":
+        return rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    lo, hi = nodes.min(), nodes.max()
+    planted = lo + (hi - lo) * rng.uniform(0.05, 0.95, n)
+    return np.prod(nodes[:, None] - planted, axis=1)
+
+
+class TestAberthWorkspace:
+    """The Aberth sweeps and inclusion disks, computed in one reused
+    workspace, against the allocating code they replace."""
+
+    @pytest.mark.parametrize("values", ["real", "complex", "planted"])
+    @pytest.mark.parametrize("nodes", ["chebyshev", "equispaced", "random"])
+    @pytest.mark.parametrize("n", [64, 113, 200])
+    def test_seeded_sides(self, n, nodes, values):
+        rng = np.random.default_rng([20, n, len(nodes), len(values)])
+        x = aberth_nodes(nodes, n, rng)
+        assert_aberth_parity(LagrangePoly(x, aberth_values(values, x, rng)))
+
+    # on an interval 1e-3 wide the weights overflow from degree 88
+    @pytest.mark.parametrize("values", ["real", "complex", "planted"])
+    @pytest.mark.parametrize("n", [64, 80])
+    def test_seeded_narrow_sides(self, n, values):
+        rng = np.random.default_rng([20, n, len(values)])
+        x = aberth_nodes("narrow", n, rng)
+        assert_aberth_parity(LagrangePoly(x, aberth_values(values, x, rng)))
+
+    @pytest.mark.parametrize("n", [64, 150])
+    def test_planted_root_exactly_on_a_node(self, n):
+        x = aberth_nodes("chebyshev", n, None)
+        planted = np.append(np.cos(np.arange(1, n) * np.pi / n), x[10])
+        report = assert_aberth_parity(LagrangePoly(x, np.prod(x[:, None] - planted, axis=1)))
+        (at,) = np.flatnonzero(report.roots == x[10])
+        assert report.residuals[at] == 0.0 and report.radii[at] == 0.0
+
+    def test_sweep_cap_fallback(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        p = LagrangePoly(aberth_nodes("chebyshev", 128, rng), rng.uniform(-1, 1, 129))
+        assert assert_aberth_parity(p) is not None
+        monkeypatch.setattr(rootfind_mod, "_ABERTH_SWEEPS", 3)
+        assert assert_aberth_parity(p) is None
+
+    def test_lower_degree_data_fall_back(self):
+        x = aberth_nodes("chebyshev", 64, None)
+        planted = 0.9 * np.cos(np.arange(1, 61) * np.pi / 61)
+        assert assert_aberth_parity(LagrangePoly(x, np.prod(x[:, None] - planted, axis=1))) is None
+
+    @pytest.mark.parametrize("n", [128, 200])
+    def test_several_meeting_pairs_name_the_first(self, n):
+        # 0.95-scaled Chebyshev roots sampled by their product: many disks
+        # meet, and the note names the first pair in row-major order
+        x = aberth_nodes("chebyshev", n, None)
+        report = assert_aberth_parity(LagrangePoly(x, np.prod(x[:, None] - 0.95 * x[:-1], axis=1)))
+        z, rho = report.roots, report.radii
+        gaps = np.abs(z[:, None] - z)
+        np.fill_diagonal(gaps, np.inf)
+        pairs = np.argwhere(gaps <= rho[:, None] + rho)
+        assert len(pairs) > 2
+        a, b = pairs[0]
+        assert report.backward_note.startswith(
+            "%d of %d roots have inclusion disks that meet another's, first %s and %s"
+            % (len(set(pairs[:, 0].tolist())), n, rootfind_mod._root_text(z[a]),
+               rootfind_mod._root_text(z[b]))
+        )
