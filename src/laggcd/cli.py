@@ -196,17 +196,23 @@ def _agcd_json(result: AgcdResult, settings: dict) -> dict:
     }
 
 
-def _graph_csv(result: AgcdResult) -> str:
+def _csv(header, rows) -> str:
+    """The header and rows as CSV text, one "\\n"-terminated line each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["left_root", "right_root", "weight", "distance"])
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _graph_csv(result: AgcdResult) -> str:
+    rows = []
     for e in result.graph.edges:
         left = result.graph.left.entries[e.left][0]
         right = result.graph.right.entries[e.right][0]
-        writer.writerow(
-            [repr_complex(left), repr_complex(right), e.weight, "%.17g" % e.distance]
-        )
-    return buf.getvalue()
+        distance = "%.17g" % e.distance
+        rows.append([repr_complex(left), repr_complex(right), e.weight, distance])
+    return _csv(["left_root", "right_root", "weight", "distance"], rows)
 
 
 def repr_complex(z: complex) -> str:
@@ -238,23 +244,15 @@ def cmd_cluster(args) -> int:
     _, _, params = _run_params(args)
     clustered = run_cluster(points, params)
     unused = Counter(points.entries)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["re", "im", "multiplicity", "cluster_id", "was_merged"])
+    rows = []
     for idx, (r, m) in enumerate(clustered):
         untouched = unused[r, m] > 0
         if untouched:
             unused[r, m] -= 1
-        writer.writerow(
-            [
-                "%.17g" % r.real,
-                "%.17g" % r.imag,
-                m,
-                idx,
-                "false" if untouched else "true",
-            ]
-        )
-    _emit(buf.getvalue(), args.output)
+        merged = "false" if untouched else "true"
+        rows.append(["%.17g" % r.real, "%.17g" % r.imag, m, idx, merged])
+    header = ["re", "im", "multiplicity", "cluster_id", "was_merged"]
+    _emit(_csv(header, rows), args.output)
     return 0
 
 

@@ -62,6 +62,13 @@ def _complex_array(data, name: str) -> np.ndarray:
         raise InvalidParameterError("%s must be numbers (%s)" % (name, exc)) from None
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    """InvalidParameterError naming a's first NaN or infinite entry, if any."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise InvalidParameterError("%s must be finite, got %s" % (name, a[~finite][0]))
+
+
 class _NodeSet(NamedTuple):
     """What a polynomial's nodes alone determine, computed once per
     distinct node array (_node_set). The arrays are read-only."""
@@ -85,9 +92,7 @@ def _node_set(key: bytes) -> _NodeSet:
     An error is not cached, so it is raised again on every call.
     """
     x = np.frombuffer(key, dtype=complex)  # read-only, held by the key
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise InvalidParameterError("nodes must be finite, got %s" % x[~finite][0])
+    _check_finite(x, "nodes")
     with np.errstate(all="ignore"):  # overflow and underflow are checked below
         diff = x[:, None] - x[None, :]
         gaps = np.abs(diff)
@@ -144,11 +149,7 @@ class LagrangePoly:
             raise InvalidParameterError("nodes and values must be 1-d sequences")
         if len(nodes) != len(values) or len(nodes) == 0:
             raise InvalidParameterError("need len(nodes) == len(values) >= 1")
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise InvalidParameterError(
-                "values must be finite, got %s" % values[~finite][0]
-            )
+        _check_finite(values, "values")
         node_set = _node_set(nodes.tobytes())
         values.flags.writeable = False
         self.nodes, self.values, self.weights = node_set.nodes, values, node_set.weights
@@ -185,11 +186,7 @@ def evaluate(p: LagrangePoly, z):
     """
     zarr = _complex_array(z, "evaluation points")
     zz = zarr.reshape(-1)
-    finite = np.isfinite(zz)
-    if not finite.all():
-        raise InvalidParameterError(
-            "evaluation points must be finite, got %s" % zz[~finite][0]
-        )
+    _check_finite(zz, "evaluation points")
     diff = zz[:, None] - p.nodes[None, :]
     out = np.empty(len(zz), dtype=complex)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
@@ -222,13 +219,17 @@ def _convert(root, mult) -> Tuple[complex, int]:
         raise InvalidParameterError("roots must be finite, got %r" % (root,)) from None
 
 
+def _finite_root(root: complex) -> complex:
+    """root, or RootList's error where it is not finite."""
+    if not cmath.isfinite(root):
+        raise InvalidParameterError("roots must be finite, got %r" % root)
+    return root
+
+
 def _centroid(total: complex, weight: int) -> complex:
-    """total / weight, a merged root; RootList's error where it is not
-    finite (a sum or quotient beyond the double range)."""
-    centroid = total / weight
-    if not cmath.isfinite(centroid):
-        raise InvalidParameterError("roots must be finite, got %r" % centroid)
-    return centroid
+    """total / weight, a merged root, checked by _finite_root (a sum or
+    quotient beyond the double range is not finite)."""
+    return _finite_root(total / weight)
 
 
 def _order(entry: Tuple[complex, int]) -> Tuple[float, float]:
@@ -291,8 +292,7 @@ def _checked(items: list) -> Tuple[Tuple[complex, int], ...]:
                 "entries must be (number, integer), got %r" % (entry,)
             ) from None
         root, mult = _convert(root, mult)
-        if not cmath.isfinite(root):
-            raise InvalidParameterError("roots must be finite, got %r" % root)
+        _finite_root(root)
         if mult < 1:
             raise InvalidParameterError("multiplicities must be >= 1, got %d" % mult)
         norm.append((root, mult))

@@ -145,7 +145,8 @@ def exact_mwm(g: MatchGraph) -> Matching:
     """Maximum-weight matching via the assignment problem.
 
     It allocates a dense |left| x |right| matrix at any size: through
-    approximate_gcd a side holds at most degree-many clusters, after a QZ.
+    approximate_gcd a side holds at most degree-many clusters, one per
+    root that rootfinding (QZ, or Aberth from degree 64 up) returned.
     Missing pairs get weight zero in the assignment matrix; zero-weight
     assignments are dropped afterwards, which is exact because all real
     edge weights are positive.

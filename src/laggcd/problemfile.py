@@ -93,14 +93,11 @@ def parse_problem(data: dict) -> ProblemFile:
     unknown = sorted(map(repr, set(data).difference(_REQUIRED, _OPTIONAL)))
     if unknown:
         raise ProblemFileError("unknown fields: %s" % ", ".join(unknown))
-    px = _scalar_array(data["px"], "px")
-    py = _scalar_array(data["py"], "py")
-    qx = _scalar_array(data["qx"], "qx")
-    qy = _scalar_array(data["qy"], "qy")
-    if len(px) != len(py) or len(px) < 2:
-        raise ProblemFileError("px and py must have equal length >= 2")
-    if len(qx) != len(qy) or len(qx) < 2:
-        raise ProblemFileError("qx and qy must have equal length >= 2")
+    # every array is read before either side's lengths are checked
+    arrays = {k: _scalar_array(data[k], k) for k in ("px", "py", "qx", "qy")}
+    for x, y in (("px", "py"), ("qx", "qy")):
+        if len(arrays[x]) != len(arrays[y]) or len(arrays[x]) < 2:
+            raise ProblemFileError("%s and %s must have equal length >= 2" % (x, y))
     sigma = _tolerance(data["sigma"], "sigma")
     overrides = data.get("sigmaOverrides")
     if overrides is not None and not isinstance(overrides, dict):
@@ -119,10 +116,7 @@ def parse_problem(data: dict) -> ProblemFile:
     if max_mult is not None:
         _positive_int(max_mult, "maxMultiplicity")
     return ProblemFile(
-        px=px,
-        py=py,
-        qx=qx,
-        qy=qy,
+        **arrays,
         sigma=sigma,
         strategy=data.get("strategy"),
         max_multiplicity=max_mult,

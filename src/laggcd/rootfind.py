@@ -42,6 +42,9 @@ SPURIOUS_BETA_RTOL = 1e-10
 # artifacts of sampled data whose actual degree is below nominal.
 FAR_ROOT_FACTOR = 1e6
 _TINY = np.finfo(float).tiny  # the smallest normal double
+# Above this peak 1 / peak is subnormal, and numpy's complex division, which
+# multiplies by it, rounds the quotients apart from those of scaled data.
+_HUGE = 1.0 / _TINY
 _EPS = np.finfo(float).eps
 # Aberth replaces QZ from this degree up, on real nodes. Below it QZ is
 # faster: 0.035 against 0.20 ms at degree 4, 0.29 against 0.76 ms at 32.
@@ -75,10 +78,16 @@ class RootfindReport:
     """
 
     roots: np.ndarray
-    discarded_count: int
     poly: LagrangePoly
     backward_note: Optional[str] = None
     radii: Optional[np.ndarray] = None
+
+    @property
+    def discarded_count(self) -> int:
+        """How many of the pencil's degree + 2 eigenvalues are not roots:
+        its two infinities, and the far-field eigenvalues of data whose
+        degree is below nominal; 2 after Aberth, which builds no pencil."""
+        return self.poly.degree + 2 - len(self.roots)
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -107,10 +116,23 @@ def _root_text(z: complex) -> str:
 def _unit_values(values: np.ndarray, peak: float) -> np.ndarray:
     """values divided by their largest modulus, peak. A subnormal peak is
     first raised by 2**1000 with the values, as numpy's complex division
-    takes 1 / peak, which would overflow."""
+    takes 1 / peak, which would overflow. Above _HUGE the values are
+    first scaled by 1/8 and the peak is taken of them again: finite values
+    whose moduli pass the double range have an infinite peak."""
     if peak < _TINY:
         values, peak = values * 2.0**1000, peak * 2.0**1000
+    elif peak > _HUGE:
+        values = values * 0.125
+        peak = float(np.abs(values).max())
     return values / peak
+
+
+def _log_peak(p: LagrangePoly) -> float:
+    """log(p.peak), finite also where the peak is infinite: there it is
+    taken of the values scaled by 1/8, as in _unit_values."""
+    if p.peak < np.inf:
+        return math.log(p.peak)
+    return math.log(np.abs(p.values * 0.125).max()) + math.log(8.0)
 
 
 def build_pencil(p: LagrangePoly) -> Pencil:
@@ -259,7 +281,7 @@ def _inclusion_disks(
     reals = _rows(work[0].view(float), n, n)
     log_w = log_p - np.log(abs(wf.sum())) - np.log(gaps, out=reals).sum(axis=1)
     radii = n * np.exp(log_w)
-    scale = math.log(np.abs(p.weights).max()) + math.log(p.peak)
+    scale = math.log(np.abs(p.weights).max()) + _log_peak(p)
     residuals = np.exp(log_p + scale)
     np.fill_diagonal(gaps, np.inf)
     return radii, residuals, gaps <= np.add(radii[:, None], radii, out=reals)
@@ -296,9 +318,7 @@ def _aberth_report(p: LagrangePoly) -> Optional[RootfindReport]:
             % (np.count_nonzero(meet.any(axis=1)), len(z), _root_text(z[a]),
                _root_text(z[b]), radii[a], radii[b])
         )
-    report = RootfindReport(
-        roots=z, discarded_count=2, poly=p, backward_note=note, radii=radii
-    )
+    report = RootfindReport(roots=z, poly=p, backward_note=note, radii=radii)
     report.residuals = residuals  # the cached value, from the same sums
     return report
 
@@ -311,11 +331,11 @@ def roots(p: LagrangePoly) -> RootfindReport:
     residuals come from the same sums. Where two disks meet, the note names
     the first two such roots: the data do not separate them. The disks,
     not convergence, say how accurate the roots are. Aberth returns
-    exactly n roots and counts the pencil's two infinities as discarded.
-    It gives way to QZ past its sweep cap, for a root more than two node
-    spreads from the node centre with a disk wider than the spread (the
-    mark of data whose degree is below nominal), and for a disk or
-    residual that is not finite.
+    exactly n roots, so its discarded_count is 2. It gives way to QZ past
+    its sweep cap, for a root more than two node spreads from the node
+    centre with a disk wider than the spread (the mark of data whose
+    degree is below nominal), and for a disk or residual that is not
+    finite.
 
     QZ, below degree 64, on complex nodes and as that fallback, returns
     exactly n roots for full-degree data; its residuals are computed when
@@ -346,17 +366,11 @@ def roots(p: LagrangePoly) -> RootfindReport:
     big = np.abs(beta) > SPURIOUS_BETA_RTOL * beta_scale
     lam = alpha[big] / beta[big]
     lam = lam[np.abs(lam - center) <= FAR_ROOT_FACTOR * spread]
-    found = lam[np.lexsort((lam.imag, lam.real))]
-    discarded = p.degree + 2 - len(found)
-    note = None
-    if len(found) < p.degree:
-        note = (
+    report = RootfindReport(roots=lam[np.lexsort((lam.imag, lam.real))], poly=p)
+    found = len(report.roots)
+    if found < p.degree:
+        report.backward_note = (
             "sampled data appears to have degree %d < nominal %d; "
-            "%d eigenvalues discarded" % (len(found), p.degree, discarded)
+            "%d eigenvalues discarded" % (found, p.degree, report.discarded_count)
         )
-    return RootfindReport(
-        roots=found,
-        discarded_count=discarded,
-        poly=p,
-        backward_note=note,
-    )
+    return report

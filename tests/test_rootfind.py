@@ -258,6 +258,17 @@ def test_roots_match_raw_pencil_qz(kind):
             assert np.min(np.abs(got - r)) <= RAW_PENCIL_RTOL * max(1.0, abs(r))
 
 
+def at_the_top(p, factor):
+    """(base, top): p's values times factor, and those times the power of
+    two that puts their largest real or imaginary part at the top of the
+    double range, above 2**1022, where 1 / peak is subnormal."""
+    base = LagrangePoly(p.nodes, p.values * factor)
+    k = 1024 - int(np.frexp(np.abs(base.values.view(float)).max())[1])
+    top = LagrangePoly(p.nodes, base.values * 2.0 ** (k - 1000) * 2.0**1000)
+    assert top.peak > 2.0**1022
+    return base, top
+
+
 def test_power_of_two_scaling_gives_identical_roots(ref_p):
     complex_p = LagrangePoly(ref_p.nodes, ref_p.values * (1 + 0.5j) - 3j)
     for p in (ref_p, complex_p):
@@ -265,6 +276,12 @@ def test_power_of_two_scaling_gives_identical_roots(ref_p):
         for k in (-30, -20, -10, -4, 4, 10, 20, 30):
             scaled = roots(LagrangePoly(p.nodes, p.values * 2.0**k)).roots
             assert scaled.tobytes() == base.tobytes()
+    # finite parts whose moduli pass the double range (an infinite peak),
+    # and a finite peak at the top of the range
+    tops = [at_the_top(ref_p, 1 + 1j), at_the_top(ref_p, 1)]
+    assert [top.peak == np.inf for _, top in tops] == [True, False]
+    for base, top in tops:
+        assert strict_roots(top).roots.tobytes() == roots(base).roots.tobytes()
 
 
 def test_subnormal_values_give_the_roots_of_their_normal_scaling(ref_p):
@@ -388,6 +405,14 @@ def test_aberth_power_of_two_scaling_gives_identical_roots():
             scaled = strict_roots(LagrangePoly(p.nodes, p.values * 2.0**k))
             assert scaled.roots.tobytes() == base.roots.tobytes()
             assert scaled.radii.tobytes() == base.radii.tobytes()
+    # at the top of the double range, with an infinite peak and a finite one
+    tops = [at_the_top(cases[0], f) for f in (1.25 + 1.25j, 1 + 1j)]
+    assert [top.peak == np.inf for _, top in tops] == [True, False]
+    for base, top in tops:
+        got, want = strict_roots(top), strict_roots(base)
+        assert want.radii is not None
+        assert got.roots.tobytes() == want.roots.tobytes()
+        assert got.radii.tobytes() == want.radii.tobytes()
 
 
 def test_aberth_on_subnormal_values_gives_the_roots_of_their_normal_scaling():
