@@ -13,7 +13,8 @@ import contextlib
 import functools
 import operator
 import sys
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,8 +30,13 @@ from .errors import (
 DUPLICATE_GAP_RTOL = 1e-12
 NEAR_DUPLICATE_GAP_RTOL = 1e-8
 _EPS = sys.float_info.epsilon
+# Above this peak 1 / peak is subnormal, and numpy's complex division, which
+# multiplies by it, rounds the quotients apart from those of scaled data;
+# evaluate and rootfinding scale such values by 1/8 first.
+_HUGE = 2.0**1022
 # How many distinct node sets _node_set keeps, the most recently used; an
-# entry holds three arrays of the node count.
+# entry holds three arrays of the node count, and three more once Aberth
+# has run on it.
 _NODE_SETS = 64
 
 
@@ -69,7 +75,8 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise InvalidParameterError("%s must be finite, got %s" % (name, a[~finite][0]))
 
 
-class _NodeSet(NamedTuple):
+@dataclass(eq=False)
+class _NodeSet:
     """What a polynomial's nodes alone determine, computed once per
     distinct node array (_node_set). The arrays are read-only."""
 
@@ -80,6 +87,9 @@ class _NodeSet(NamedTuple):
     center: complex  # nodes.mean(), the centre of roots()' far field
     column: np.ndarray  # weights / max|w|, column 0 of the scaled pencil
     real: bool  # neither nodes nor column has an imaginary part
+    # Aberth's start record, three arrays of the degree, which rootfinding
+    # builds on its first Aberth call on these nodes (rootfind._starts)
+    starts: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 @functools.lru_cache(maxsize=_NODE_SETS)
@@ -182,12 +192,16 @@ def evaluate(p: LagrangePoly, z):
     factor of l(z) is scaled by an exact power of two, so that the product
     cannot overflow or underflow on its way. If z coincides exactly with
     a node the stored value is returned unchanged (no tolerance involved).
-    A z that is no number, NaN or infinite raises InvalidParameterError.
+    Values whose peak is above _HUGE are scaled by 1/8 first, and the
+    result by 8 through the shift, so that a finite value whose sum
+    overflows is not lost. A z that is no number, NaN or infinite raises
+    InvalidParameterError.
     """
     zarr = _complex_array(z, "evaluation points")
     zz = zarr.reshape(-1)
     _check_finite(zz, "evaluation points")
     diff = zz[:, None] - p.nodes[None, :]
+    values, top = (p.values * 0.125, 3) if p.peak > _HUGE else (p.values, 0)
     out = np.empty(len(zz), dtype=complex)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     with np.errstate(all="ignore"):
@@ -195,8 +209,8 @@ def evaluate(p: LagrangePoly, z):
         scaled = np.empty_like(diff)
         scaled.real = np.ldexp(diff.real, -exps)
         scaled.imag = np.ldexp(diff.imag, -exps)
-        total = scaled.prod(axis=1) * (p.weights * p.values / diff).sum(axis=1)
-        shift = exps.sum(axis=1)
+        total = scaled.prod(axis=1) * (p.weights * values / diff).sum(axis=1)
+        shift = exps.sum(axis=1) + top
         out.real = np.ldexp(total.real, shift)
         out.imag = np.ldexp(total.imag, shift)
     out[hit_rows] = p.values[hit_cols]

@@ -33,7 +33,7 @@ from .errors import (
     EigensolveFailureError,
     InvalidParameterError,
 )
-from .lagpoly import LagrangePoly, evaluate
+from .lagpoly import _HUGE, LagrangePoly, evaluate
 
 # |beta| below this (relative to the largest |beta|) marks an eigenvalue
 # at infinity in the homogeneous (alpha, beta) representation.
@@ -42,9 +42,6 @@ SPURIOUS_BETA_RTOL = 1e-10
 # artifacts of sampled data whose actual degree is below nominal.
 FAR_ROOT_FACTOR = 1e6
 _TINY = np.finfo(float).tiny  # the smallest normal double
-# Above this peak 1 / peak is subnormal, and numpy's complex division, which
-# multiplies by it, rounds the quotients apart from those of scaled data.
-_HUGE = 1.0 / _TINY
 _EPS = np.finfo(float).eps
 # Aberth replaces QZ from this degree up, on real nodes. Below it QZ is
 # faster: 0.035 against 0.20 ms at degree 4, 0.29 against 0.76 ms at 32.
@@ -205,39 +202,85 @@ def _rows(a: np.ndarray, m: int, k: int) -> np.ndarray:
     return a[: m * k].reshape(m, k)
 
 
+def _inverse_gaps(zc: np.ndarray, x: np.ndarray, work: Workspace) -> np.ndarray:
+    """1/(z_i - x_k) for the column zc of m iterates, an m x len(x) array
+    at the start of work's complex buffer."""
+    inv = np.subtract(zc, x, out=_rows(work[0], len(zc), len(x)))
+    return np.reciprocal(inv, out=inv)
+
+
+def _repulsion(
+    zc: np.ndarray, z: np.ndarray, active: np.ndarray, rows: np.ndarray, work: Workspace
+) -> np.ndarray:
+    """sum_{j != i} 1/(z_i - z_j) for the column zc = z[active] of m
+    iterates, from an m x n block at the start of work's complex buffer;
+    rows is np.arange(n)."""
+    repel = np.subtract(zc, z, out=_rows(work[0], len(zc), len(z)))
+    np.reciprocal(repel, out=repel)
+    repel[rows[: len(zc)], active] = 0.0
+    return repel.sum(axis=1)
+
+
+def _starts(p: LagrangePoly, work: Workspace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aberth's start record of p's real nodes: the starts z0, the
+    midpoints of the sorted nodes lifted by 1e-3 node spreads into the
+    upper half plane, and sweep 0's two node-only sums, sum_k 1/(z0_i - x_k)
+    and sum_{j != i} 1/(z0_i - z0_j), read-only (48 n bytes). It is built
+    by the calls and in the workspace that a later sweep uses, and leaves
+    1/(z0_i - x_k) at the start of work, where sweep 0 reads it.
+    """
+    ends = np.sort(p.nodes.real)
+    z = 0.5 * (ends[1:] + ends[:-1]) + 1e-3j * p.spread
+    zc, rows = z[:, None], np.arange(len(z))
+    near = _repulsion(zc, z, rows, rows, work)
+    total = _inverse_gaps(zc, p.nodes, work).sum(axis=1)
+    for a in (z, total, near):
+        a.flags.writeable = False
+    return z, total, near
+
+
 def _aberth(p: LagrangePoly, wf: np.ndarray, work: Workspace) -> Optional[np.ndarray]:
     """p's n roots by Aberth-Ehrlich iteration, unordered, or None once
     _ABERTH_SWEEPS sweeps have not fixed them all; p's nodes are real.
 
-    wf is w_k f_k up to a constant factor. The starts are the midpoints of
-    the sorted nodes, lifted by 1e-3 node spreads into the upper half
-    plane. Each sweep works on the m roots still moving: the Newton
-    correction N = 1 / (p'/p) from the barycentric sums, then Aberth's
-    step N / (1 - N * sum_{j != i} 1 / (z_i - z_j)). A root is fixed after
-    the sweep whose step left it in place to rounding, or that started
-    from a rounding-level sum, |s| <= 4 (n+1) eps sum_k |t_k|; that last
-    step is taken. A step that is not finite (from an iterate exactly on a
-    node or on another root) is taken as 0. As m x (n+1) arrays at the
-    start of work, 1/(z - x_k) and then its square take the complex
-    buffer and |1/(z - x_k)| the real one; then 1/(z_i - z_j) takes the
-    complex buffer's first m n entries.
+    wf is w_k f_k up to a constant factor. The starts, and the sums of
+    sweep 0 that depend on the nodes alone, come from the start record
+    (_starts), which the first call on p's nodes builds and keeps with
+    their node set, so that every polynomial on those nodes starts from
+    the same bits while the node set is cached. Each sweep works on the m
+    roots still moving: the Newton correction N = 1 / (p'/p) from the
+    barycentric sums, then Aberth's step N / (1 - N * sum_{j != i} 1 /
+    (z_i - z_j)). A root is fixed after the sweep whose step left it in
+    place to rounding, or that started from a rounding-level sum,
+    |s| <= 4 (n+1) eps sum_k |t_k|; that last step is taken. A step that
+    is not finite (from an iterate exactly on a node or on another root)
+    is taken as 0. As m x (n+1) arrays at the start of work, 1/(z - x_k)
+    and then its square take the complex buffer and |1/(z - x_k)| the real
+    one; before them, 1/(z_i - z_j) takes the complex buffer's first m n
+    entries.
     """
     x, n = p.nodes, p.degree
-    ends = np.sort(x.real)
-    z = 0.5 * (ends[1:] + ends[:-1]) + 1e-3j * p.spread
-    active = np.arange(n)
+    starts = p._node_set.starts
+    cold = starts is None
+    if cold:
+        starts = p._node_set.starts = _starts(p, work)
+    z, total, near = starts
+    z = z.copy()
+    # a cold call's _starts left sweep 0's 1/(z - x_k) in work
+    inv = _rows(work[0], n, n + 1) if cold else _inverse_gaps(z[:, None], x, work)
+    active = rows = np.arange(n)
     tol, size = 4 * (n + 1) * _EPS, np.abs(wf)
-    for _ in range(_ABERTH_SWEEPS):
-        za, m = z[active], len(active)
-        inv = np.subtract(za[:, None], x, out=_rows(work[0], m, n + 1))
-        np.reciprocal(inv, out=inv)
-        s, total = inv @ wf, inv.sum(axis=1)
-        done = np.abs(s) <= tol * (np.abs(inv, out=_rows(work[1], m, n + 1)) @ size)
+    for sweep in range(_ABERTH_SWEEPS):
+        za = z[active]
+        if sweep:  # sweep 0's node-only sums come from the start record
+            zc = za[:, None]
+            near = _repulsion(zc, z, active, rows, work)
+            inv = _inverse_gaps(zc, x, work)
+            total = inv.sum(axis=1)
+        s = inv @ wf
+        done = np.abs(s) <= tol * (np.abs(inv, out=_rows(work[1], len(za), n + 1)) @ size)
         newton = s / (s * total - np.square(inv, out=inv) @ wf)
-        repel = np.subtract(za[:, None], z, out=_rows(work[0], m, n))
-        np.reciprocal(repel, out=repel)  # 1/(z_i - z_j), j != i
-        repel[np.arange(m), active] = 0.0
-        step = newton / (1.0 - newton * repel.sum(axis=1))
+        step = newton / (1.0 - newton * near)
         step[~np.isfinite(step)] = 0.0
         done |= np.abs(step) <= _EPS * np.abs(za)
         z[active] = za - step
@@ -259,8 +302,10 @@ def _inclusion_disks(
     a component of m disks exactly m. All of it is taken in log space, so
     that no product overflows on its way. The residual |p(z_j)| is
     |prod_k (z_j - x_k)| |s(z_j)| with s's constant factor max|w| * peak
-    put back. At a root exactly on a node x_k, where the sums are not
-    finite, p is the datum f_k, as in evaluate. meet[j, k] is whether the
+    put back; beyond the double range it reads inf. A log residual that is
+    NaN or +inf, from sums that broke down, makes the radius NaN or inf
+    too. At a root exactly on a node x_k, where the sums are not finite,
+    p is the datum f_k, as in evaluate. meet[j, k] is whether the
     disks of z_j and z_k, j != k, meet. In work, z_j - x_k and then its
     reciprocal take the complex buffer and log|z_j - x_k| the real one,
     n x (n+1); then z_j - z_k the complex one, the gaps the real one, and
@@ -289,11 +334,13 @@ def _inclusion_disks(
 
 def _aberth_report(p: LagrangePoly) -> Optional[RootfindReport]:
     """roots(p) by _aberth, or None where QZ should solve instead: past the
-    sweep cap, for a disk or residual that is not finite, and for a root
-    beyond _ABERTH_FAR node spreads from the node centre whose disk is
-    wider than the spread. _aberth and _inclusion_disks share one
-    workspace, a complex and a real buffer of n (n+1) entries (24 n (n+1)
-    bytes); each array they need is a contiguous view of a buffer's start."""
+    sweep cap, for a disk that is not finite (which a log residual that is
+    NaN or +inf gives; a residual that only passes the double range reads
+    inf and stays), and for a root beyond _ABERTH_FAR node spreads from
+    the node centre whose disk is wider than the spread. _aberth and
+    _inclusion_disks share one workspace, a complex and a real buffer of
+    n (n+1) entries (24 n (n+1) bytes); each array they need is a
+    contiguous view of a buffer's start."""
     n = p.degree
     work = np.empty(n * (n + 1), complex), np.empty(n * (n + 1))
     wf = p._node_set.column * _unit_values(p.values, p.peak)
@@ -303,7 +350,7 @@ def _aberth_report(p: LagrangePoly) -> Optional[RootfindReport]:
             return None
         z = z[np.lexsort((z.imag, z.real))]
         radii, residuals, meet = _inclusion_disks(p, wf, z, work)
-    if not (np.isfinite(radii).all() and np.isfinite(residuals).all()):
+    if not np.isfinite(radii).all():
         return None
     far = np.abs(z - p._node_set.center) > _ABERTH_FAR * p.spread
     if (radii[far] > p.spread).any():
@@ -334,8 +381,8 @@ def roots(p: LagrangePoly) -> RootfindReport:
     exactly n roots, so its discarded_count is 2. It gives way to QZ past
     its sweep cap, for a root more than two node spreads from the node
     centre with a disk wider than the spread (the mark of data whose
-    degree is below nominal), and for a disk or residual that is not
-    finite.
+    degree is below nominal), and for a disk that is not finite; a
+    residual beyond the double range reads inf.
 
     QZ, below degree 64, on complex nodes and as that fallback, returns
     exactly n roots for full-degree data; its residuals are computed when

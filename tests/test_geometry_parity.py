@@ -9,7 +9,8 @@ sampling from roots, the dense assignment
 over all n x n distances for rho="sum", the per-entry check and sort of
 a RootList's constructor, the full sort of reconstruct's output, and
 Aberth's sweeps and inclusion disks with fresh arrays at every step and
-every meeting pair of disks listed to name the first. The
+every meeting pair of disks listed to name the first, and Aberth's start
+record with fresh arrays on every call. The
 fast versions must give the same Python objects and the same floats, bit
 for bit (rho="sum" only where its optimal assignment is unique; elsewhere
 to 1e-15 relative), and the constructor the same errors.
@@ -20,6 +21,7 @@ import importlib
 import math
 import operator
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -1456,3 +1458,90 @@ class TestAberthWorkspace:
             % (len(set(pairs[:, 0].tolist())), n, rootfind_mod._root_text(z[a]),
                rootfind_mod._root_text(z[b]))
         )
+
+
+def oracle_starts(p):
+    """Aberth's start record of p's nodes with fresh arrays: the starts,
+    sum_k 1/(z0_i - x_k) and sum_{j != i} 1/(z0_i - z0_j)."""
+    x, n = p.nodes, p.degree
+    ends = np.sort(x.real)
+    z = 0.5 * (ends[1:] + ends[:-1]) + 1e-3j * p.spread
+    with np.errstate(all="ignore"):  # 1/0 on the diagonal
+        repel = np.reciprocal(z[:, None] - z)
+    repel[np.arange(n), np.arange(n)] = 0.0
+    return z, np.reciprocal(z[:, None] - x).sum(axis=1), repel.sum(axis=1)
+
+
+def assert_starts_parity(p, monkeypatch):
+    """A roots call on p's node set, with its record taken away first,
+    builds the oracle's record byte for byte, read-only."""
+    monkeypatch.setattr(p._node_set, "starts", None)
+    rootfind_mod.roots(p)
+    record = p._node_set.starts
+    for got, want in zip(record, oracle_starts(p), strict=True):
+        assert bits(got) == bits(want)
+        assert not got.flags.writeable
+
+
+class TestAberthStarts:
+    """Aberth's start record, built once per real node set of 65 or more
+    nodes and kept with it, against fresh arrays."""
+
+    @pytest.mark.parametrize("nodes", ["chebyshev", "equispaced", "random"])
+    @pytest.mark.parametrize("n", [64, 113, 200])
+    def test_record_matches_fresh_arrays(self, n, nodes, monkeypatch):
+        rng = np.random.default_rng([30, n, len(nodes)])
+        x = aberth_nodes(nodes, n, rng)
+        assert_starts_parity(LagrangePoly(x, rng.standard_normal(n + 1)), monkeypatch)
+
+    # on an interval 1e-3 wide the weights overflow from degree 88
+    @pytest.mark.parametrize("n", [64, 80])
+    def test_narrow_record_matches_fresh_arrays(self, n, monkeypatch):
+        rng = np.random.default_rng([30, n])
+        x = aberth_nodes("narrow", n, rng)
+        assert_starts_parity(LagrangePoly(x, rng.standard_normal(n + 1)), monkeypatch)
+
+    def test_equal_nodes_share_one_record_and_warm_calls_match_cold_ones(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = aberth_nodes("chebyshev", 150, None) + 0.375  # nodes no other test uses
+        p = LagrangePoly(x, rng.standard_normal(151))
+        q = LagrangePoly(x.copy(), p.values * (1 - 0.5j) + 0.25)
+        node_set = p._node_set
+        assert q._node_set is node_set and node_set.starts is None
+        cold_p = rootfind_mod.roots(p)
+        record = node_set.starts
+        assert record is not None
+        warm_q, warm_p = rootfind_mod.roots(q), rootfind_mod.roots(p)
+        assert node_set.starts is record
+        monkeypatch.setattr(node_set, "starts", None)
+        cold_q = rootfind_mod.roots(q)
+        assert node_set.starts is not record
+        for warm, cold in ((warm_p, cold_p), (warm_q, cold_q)):
+            assert warm.radii is not None
+            for name in ("roots", "radii", "residuals"):
+                assert bits(getattr(warm, name)) == bits(getattr(cold, name))
+            assert warm.backward_note == cold.backward_note
+
+    def test_complex_nodes_and_low_degrees_build_none(self):
+        rng = np.random.default_rng(32)
+        circle = 0.9 * np.exp(2j * np.pi * np.arange(101) / 101)
+        for x in (circle, aberth_nodes("chebyshev", 63, None) + 0.375):
+            p = LagrangePoly(x, rng.standard_normal(len(x)))
+            report = rootfind_mod.roots(p)
+            assert report.radii is None and p._node_set.starts is None
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_cold_call_memory_peak_stays_below_40_n_squared_bytes(self, n):
+        # a first call builds the record in the workspace the sweeps use
+        x = aberth_nodes("chebyshev", n, None) + 0.375  # nodes no other test uses
+        planted = np.cos(np.arange(n, 0, -1) * np.pi / (n + 1)) + 0.375
+        p = LagrangePoly(x, np.prod(x[:, None] - planted, axis=1))
+        assert p._node_set.starts is None
+        tracemalloc.start()
+        try:
+            report = rootfind_mod.roots(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.radii is not None and p._node_set.starts is not None
+        assert peak <= 40 * n * n

@@ -359,6 +359,25 @@ class TestEvaluate:
             want = 1e-20 * complex(mpmath.fprod(mpmath.mpf(1e8) - mpmath.mpf(v) for v in r))
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_values_at_the_top_of_the_double_range_are_eight_times_their_eighth(self):
+        # finite parts whose moduli pass the double range (an infinite peak):
+        # the sum of w_k f_k / (z - x_k) overflowed, and evaluate gave
+        # nan+nanj at 2.9 with no warning
+        x = [0.0, 1.0, 2.0, 3.0]
+        top = LagrangePoly(x, 1.5e308 * (1 + 1j) * np.array([-1, 1 / 3, -1 / 3, 1]))
+        assert top.peak == np.inf
+        finite_top = LagrangePoly(x, top.values * 0.75)
+        assert 2.0**1022 < finite_top.peak < np.inf
+        zs = np.array([2.9, 0.5, 1.5 + 0.5j, 1.0, 2.2 - 0.1j])
+        for p in (top, finite_top):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = evaluate(p, zs)
+            eighth = LagrangePoly(x, p.values * 0.125)
+            assert got.tobytes() == (8 * evaluate(eighth, zs)).tobytes()
+            assert got[3] == p.values[1]
+        assert evaluate(top, 2.9) == pytest.approx(9.94e307 * (1 + 1j), rel=1e-3)
+
     def test_vectorized_matches_scalar(self, rng):
         p = LagrangePoly([0, 1, 2, 3], [1, -1, 2, 0])
         zs = rng.uniform(-2, 5, 7)

@@ -415,6 +415,19 @@ def test_aberth_power_of_two_scaling_gives_identical_roots():
         assert got.radii.tobytes() == want.radii.tobytes()
 
 
+@pytest.mark.parametrize("k", [970, 1000, 1020])
+def test_aberth_keeps_its_roots_where_only_a_residual_passes_the_double_range(k):
+    # the residuals of these data are about 3e17 times their peak; those
+    # past the double range read inf, and the side stays on Aberth
+    rng = np.random.default_rng(7)
+    nodes = np.cos((2 * np.arange(101) + 1) * np.pi / 202)
+    base = strict_roots(LagrangePoly(nodes, rng.uniform(-1, 1, 101)))
+    scaled = strict_roots(LagrangePoly(nodes, base.poly.values * 2.0**k))
+    assert scaled.radii is not None and np.isinf(scaled.residuals).any()
+    assert scaled.roots.tobytes() == base.roots.tobytes()
+    assert scaled.radii.tobytes() == base.radii.tobytes()
+
+
 def test_aberth_on_subnormal_values_gives_the_roots_of_their_normal_scaling():
     rng = np.random.default_rng(11)
     nodes = np.cos((2 * np.arange(101) + 1) * np.pi / 202)
