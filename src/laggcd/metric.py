@@ -6,26 +6,29 @@ moduli (solved as a bottleneck assignment). Scaling a polynomial leaves
 its roots unchanged, so the distance of cf to f is zero; this is a
 pseudometric, not a metric.
 
-For rho="sum", coordinates that f and g share exactly (equal as complex
-numbers, so -0.0 pairs with 0.0, counted as multisets) are paired at
-distance zero first, and the assignment runs on the remaining ones only.
-Some optimal assignment pairs every shared coordinate: if f_i = g_j = p
-while i goes to j' and i' goes to j, swapping to i -> j, i' -> j' costs
-no more, as |f_i' - g_j'| <= |f_i' - p| + |p - g_j'|. The matched
+Both rhos pair the coordinates that f and g share exactly (equal as
+complex numbers, so -0.0 pairs with 0.0, counted as multisets) first, at
+distance zero, from _PAIR_FIRST_MIN_N roots up; below that they solve
+the dense n x n problem, which is the reference value.
+
+For rho="sum" the assignment then runs on the remaining coordinates
+only. Some optimal assignment pairs every shared coordinate: if f_i =
+g_j = p while i goes to j' and i' goes to j, swapping to i -> j, i' -> j'
+costs no more, as |f_i' - g_j'| <= |f_i' - p| + |p - g_j'|. The matched
 distances are summed in f's order, so the value is the dense solve's bit
 for bit wherever the optimal assignment is unique.
 
 For rho="max" the swap can cost more (f = {-1, 0}, g = {0, 1} has
 distance 1, but pairing the shared 0 gives 2), so pairing first is only
-a candidate there. From _PAIR_FIRST_MIN_N roots up, with k of them
-unshared, it costs O(k * n): the dense lower bound lb (the largest row
-or column minimum of the n x n distances) comes from the k unshared rows
-and columns alone, since a shared one has minimum 0. The bottleneck t_k
-of the k x k unshared block is the value of one assignment (the shared
-copies paired at 0), so lb <= t* <= t_k for the optimum t*, and when
-t_k == lb it is the optimum, the float the dense search returns. When
-lb is not attained (as in the example above), when nothing is shared
-(as between independent clouds), or below that size, the dense search
+a candidate there. With k of the n coordinates unshared, it costs
+O(k * n): the dense lower bound lb (the largest row or column minimum of
+the n x n distances) comes from the k unshared rows and columns alone,
+since a shared one has minimum 0. The bottleneck t_k of the k x k
+unshared block is the value of one assignment (the shared copies paired
+at 0), so lb <= t* <= t_k for the optimum t*, and when t_k == lb it is
+the optimum, the float the dense search returns. When lb is not attained
+(as in the example above), when nothing is shared (as between
+independent clouds), or below _PAIR_FIRST_MIN_N roots, the dense search
 over all n^2 distances runs.
 
 Non-finite coordinates are rejected with InvalidParameterError for both
@@ -35,7 +38,7 @@ built on this distance is agcd.certify_distance.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -48,11 +51,14 @@ from .lagpoly import RootList, _complex_array
 RHO_SUM = "sum"
 RHO_MAX = "max"
 RHOS = (RHO_SUM, RHO_MAX)  # every rho, in the order messages list them
+Pairs = Tuple[np.ndarray, np.ndarray]  # indices into f and into g
 
-# rho="max" tries pairing shared coordinates first from this many roots
-# up. Below it the sort and the slices cost more than the dense search
-# they save: on certificate-shaped pairs the two cross between 64 and 128
-# roots, the later the larger the unshared share.
+# Both rhos pair shared coordinates first from this many roots up, and
+# solve the dense problem below it. On certificate-shaped pairs, rho="max"
+# pays for the sort and the slices from 64-128 roots up. rho="sum" crosses
+# near 32 roots: dense costs 0.6 of the paired time at 4-16 roots, where
+# most certificates are, and 2-4 times it at 64-127 (59 against 32 us at
+# 64 roots, 2-core VM).
 _PAIR_FIRST_MIN_N = 128
 
 
@@ -99,7 +105,7 @@ def _bottleneck(dist: np.ndarray) -> float:
     return float(values[lo])
 
 
-def _unshared(both: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _unshared(both: np.ndarray, n: int) -> Pairs:
     """Indices of the coordinates of f and of g left once equal values pair off.
 
     both is f followed by g. One stable sort puts the copies of each
@@ -123,18 +129,19 @@ def _unshared(both: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return left[:n].nonzero()[0], left[n:].nonzero()[0]
 
 
-def _max_distance(fv: np.ndarray, gv: np.ndarray, both: np.ndarray) -> float:
-    """n times the rho="max" distance of f and g, both = f followed by g.
+def _max_distance(fv: np.ndarray, gv: np.ndarray, unshared: Optional[Pairs]) -> float:
+    """n times the rho="max" distance of f and g, pairing the unshared
+    rows and columns first where that provably loses nothing, else by the
+    dense search (always where unshared is None).
 
     Every distance is the dense path's np.abs(fv[i] - gv[j]), so it is the
     same float; the caller's np.errstate applies.
     """
-    n = len(fv)
-    if n >= _PAIR_FIRST_MIN_N:
-        rows, cols = _unshared(both, n)
+    if unshared is not None:
+        rows, cols = unshared
         if not len(rows):
             return 0.0
-        if len(rows) < n:
+        if len(rows) < len(fv):
             # the unshared rows and columns of the n x n distances
             f_rows = np.abs(fv[rows][:, None] - gv[None, :])
             g_cols = np.abs(fv[:, None] - gv[cols][None, :])
@@ -174,16 +181,19 @@ def root_pseudometric(f, g, rho: str = RHO_SUM) -> float:
     # before any pairing: inf == inf, yet abs(inf - inf) is NaN
     if not np.isfinite(both).all():
         raise InvalidParameterError("root vectors must be finite")
+    # one pair-first rule for both rhos
+    unshared = _unshared(both, n) if n >= _PAIR_FIRST_MIN_N else None
     # a difference or a sum beyond the double range is inf
     with np.errstate(over="ignore"):
         if rho == RHO_MAX:
-            return _max_distance(fv, gv, both) / n
-        rows, cols = _unshared(both, n)
+            return _max_distance(fv, gv, unshared) / n
+        # the unshared block, the shared copies paired at 0, or all n x n
+        rows, cols = (slice(None), slice(None)) if unshared is None else unshared
         dist = np.abs(np.subtract.outer(fv[rows], gv[cols]))
         try:
             r, c = linear_sum_assignment(dist)
         except ValueError:  # every assignment has an infinite distance
             return float("inf")
         per_row = np.zeros(n)
-        per_row[rows[r]] = dist[r, c]
+        per_row[rows] = dist[r, c]  # r is every row of the square block, in order
         return float(per_row.sum()) / n

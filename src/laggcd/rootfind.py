@@ -175,19 +175,20 @@ def _eigenvalues(p: LagrangePoly) -> Tuple[np.ndarray, np.ndarray]:
     column, diagonal = node_set.column, node_set.nodes
     if node_set.real and not row.imag.any():
         row, column, diagonal = row.real, column.real, diagonal.real
-    # Fortran order, so that LAPACK works on these arrays without a copy
+    # c0 is built as its transpose in C order, so c0t.T is c0 in Fortran
+    # order and LAPACK works on it without a copy (c1 is symmetric); the
+    # trailing diagonals are written through a strided view of the flat array
     dim = p.degree + 2
-    c0 = np.zeros((dim, dim), dtype=row.dtype, order="F")
-    c0[0, 1:] = row
-    c0[1:, 0] = column
-    c1 = np.zeros_like(c0)
-    idx = np.arange(1, dim)
-    c0[idx, idx] = diagonal
-    c1[idx, idx] = 1.0
-    ggev, = get_lapack_funcs(("ggev",), (c0, c1))
+    c0t = np.zeros((dim, dim), dtype=row.dtype)
+    c0t[1:, 0] = row
+    c0t[0, 1:] = column
+    c1 = np.zeros_like(c0t)
+    c0t.reshape(-1)[dim + 1 :: dim + 1] = diagonal
+    c1.reshape(-1)[dim + 1 :: dim + 1] = 1.0
+    ggev, = get_lapack_funcs(("ggev",), (c0t.T, c1.T))
     # dggev returns alpha as two arrays (alphar, alphai), zggev as one
     *alpha, beta, _, _, _, info = ggev(
-        c0, c1, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1
+        c0t.T, c1.T, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1
     )
     if info != 0:
         raise EigensolveFailureError("eigensolve failed: ?ggev info %d" % info)
@@ -401,17 +402,17 @@ def roots(p: LagrangePoly) -> RootfindReport:
         if report is not None:
             return report
     alpha, beta = _eigenvalues(p)
-    beta_scale = max(1.0, float(np.abs(beta).max()))
+    abs_beta = np.abs(beta)
+    beta_scale = max(1.0, float(abs_beta.max()))
     center = p._node_set.center
     spread = max(p.spread, 1.0)
 
     # The two smallest-|beta| eigenvalues are the pencil's structural
     # infinities; anything else with tiny beta or far outside the node
     # region (a non-finite quotient included) is a degree-deflation artifact.
-    order = np.argsort(np.abs(beta), kind="stable")[2:]
-    alpha, beta = alpha[order], beta[order]
-    big = np.abs(beta) > SPURIOUS_BETA_RTOL * beta_scale
-    lam = alpha[big] / beta[big]
+    keep = np.argsort(abs_beta, kind="stable")[2:]
+    keep = keep[abs_beta[keep] > SPURIOUS_BETA_RTOL * beta_scale]
+    lam = alpha[keep] / beta[keep]
     lam = lam[np.abs(lam - center) <= FAR_ROOT_FACTOR * spread]
     report = RootfindReport(roots=lam[np.lexsort((lam.imag, lam.real))], poly=p)
     found = len(report.roots)

@@ -1143,6 +1143,103 @@ class TestBottleneck:
         assert got == math.inf and sizes == [1]
 
 
+# ---------------------------------------------------------------- pair first
+
+
+def oracle_pair_first(f, g):
+    """rho="sum" with the copies that f and g share paired first: the
+    multisets oracle_unshared leaves (f's first copies of a value and g's
+    last ones), one assignment on them, summed over all of f in f's order,
+    or inf where the assignment has no finite solution."""
+    left_f, left_g = oracle_unshared(f, g)
+
+    def pick(values, left):
+        picked = []
+        for i, z in enumerate(values):
+            if left[complex(z)] > 0:
+                left[complex(z)] -= 1
+                picked.append(i)
+        return np.array(picked, dtype=np.intp)
+
+    rows = pick(f, left_f)
+    cols = np.sort(len(g) - 1 - pick(g[::-1], left_g))
+    dist = pairwise_between(f[rows], g[cols])
+    try:
+        r, c = linear_sum_assignment(dist)
+    except ValueError:
+        return math.inf
+    per_row = np.zeros(len(f))
+    per_row[rows[r]] = dist[r, c]
+    return float(per_row.sum()) / len(f)
+
+
+class TestPairFirst:
+    """Both rhos pair shared coordinates first from _PAIR_FIRST_MIN_N roots
+    up, and solve the dense problem below it (TestBottleneck checks
+    rho="max" on both sides of the threshold). For rho="sum" each path
+    must give the pair-first oracle's float, and the spy records which
+    path ran: one dense n x n assignment below the threshold, the unshared
+    block from it up."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def assignment(dist):
+            seen.append(("assignment", dist.shape))
+            return linear_sum_assignment(dist)
+
+        def unshared(both, n):
+            seen.append(("unshared", n))
+            return _unshared(both, n)
+
+        monkeypatch.setattr(metric_mod, "linear_sum_assignment", assignment)
+        monkeypatch.setattr(metric_mod, "_unshared", unshared)
+        return seen
+
+    def check(self, calls, f, g):
+        f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+        n = len(f)
+        calls.clear()
+        got = root_pseudometric(f, g)
+        assert bits(got) == bits(oracle_pair_first(f, g))
+        if n < N:
+            assert calls == [("assignment", (n, n))]
+        else:
+            k = sum(oracle_unshared(f, g)[0].values())
+            assert calls == [("unshared", n), ("assignment", (k, k))]
+        return got
+
+    @pytest.mark.parametrize("n", range(1, N + 2))
+    def test_sum_at_every_size_up_to_the_threshold(self, calls, n):
+        rng = np.random.default_rng([25, n])
+        raw, rebuilt, moved_count = certificate_pair(rng, n, max(1, n // 32) if n >= 3 else 0)
+        got = self.check(calls, raw, rebuilt)
+        assert (got > 0.0) == (moved_count > 0)
+        self.check(calls, rebuilt, raw)
+        assert bits(self.check(calls, raw, rng.permutation(raw))) == bits(0.0)
+        # signed zeros: f's -0.0 parts against g's 0.0 are shared copies
+        zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])[: n]
+        rest = cloud(rng, n - len(zeros))
+        g = np.concatenate([np.zeros(len(zeros)), rest])
+        g[len(zeros) :: 3] += 1e-3
+        self.check(calls, rng.permutation(np.concatenate([zeros, rest])), g)
+        # past the double range: the two far roots are inf apart, yet 1e308
+        # from the rest, so the dense solve finds finite assignments whose
+        # sums overflow; near -big every distance is inf
+        big = 1e308 * (1 + 1j)
+        shared = cloud(rng, n - 1)
+        f, g = np.append(shared, big), np.append(shared[::-1], -big)
+        assert self.check(calls, f, g) == math.inf
+        f, g = big + 1e306 * cloud(rng, n), -big + 1e306 * cloud(rng, n)
+        assert self.check(calls, f, g) == math.inf
+        if n >= 2:  # inf distances across, a finite optimum
+            far = np.array([big, -big])
+            f = np.concatenate([shared[1:], far])
+            g = np.concatenate([shared[:0:-1], far * (1 + 1e-10)])
+            assert 0.0 < self.check(calls, f, g) < math.inf
+
+
 
 
 # ---------------------------------------------------------------- from_roots

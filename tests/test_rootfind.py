@@ -231,6 +231,34 @@ def test_eigenvalues_match_the_unshared_solve_bit_for_bit(ref_p):
         assert [a.dtype for a in got] == [a.dtype for a in want]
 
 
+def test_eigenvalues_match_at_the_smallest_and_largest_qz_pencils():
+    # _eigenvalues builds c0 transposed and hands LAPACK its Fortran-order
+    # view: degree 1 (a 3 x 3 pencil), degree 63 (the largest real-node QZ
+    # below Aberth) with real and complex values, and degree 70 on complex
+    # nodes (QZ at Aberth's sizes)
+    rng = np.random.default_rng(31)
+    cheb = np.cos((2 * np.arange(64) + 1) * np.pi / 128)
+    unity = 0.9 * np.exp(2j * np.pi * np.arange(71) / 71)
+    cases = [
+        LagrangePoly([0.0, 1.0], [-1.0, 2.0]),
+        LagrangePoly(cheb, rng.standard_normal(64)),
+        LagrangePoly(cheb, rng.standard_normal(64) + 1j * rng.standard_normal(64)),
+        LagrangePoly(unity, rng.standard_normal(71)),
+    ]
+    for p in cases:
+        got, want = _eigenvalues(p), oracle_scaled_eigenvalues(p)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        # a second call sees the same pencil: nothing the first one wrote
+        # to in place is shared with it
+        first, again = roots(p), roots(p)
+        for report in (first, again):
+            assert report.radii is None and len(report.roots) == p.degree
+        assert first.roots.tobytes() == again.roots.tobytes()
+        assert first.residuals.tobytes() == again.residuals.tobytes()
+        assert first.backward_note == again.backward_note
+
+
 def raw_pencil_eigenvalues(p):
     """(alpha, beta) from a complex QZ of the unscaled pencil."""
     pencil = build_pencil(p)
