@@ -151,7 +151,7 @@ def cmd_roots(args) -> int:
     payload = {
         "side": args.side,
         "roots": [
-            {"root": _cnum(r), "residual": float(res)}
+            {"root": _cnum(r), "residual": float(res) if math.isfinite(res) else None}
             for r, res in zip(report.roots, report.residuals)
         ],
         "discarded": report.discarded_count,
@@ -188,8 +188,9 @@ def _agcd_json(result: AgcdResult, settings: dict) -> dict:
         "q_roots": [_cnum(r) for r in result.q_report.roots],
         "p_clustered": _rootlist_json(result.graph.left),
         "q_clustered": _rootlist_json(result.graph.right),
-        "dist_p": result.dist_p,
-        "dist_q": result.dist_q,
+        # strict JSON has no inf: a distance past the double range is null
+        "dist_p": result.dist_p if math.isfinite(result.dist_p) else None,
+        "dist_q": result.dist_q if math.isfinite(result.dist_q) else None,
         "cert_p": result.cert_p,
         "cert_q": result.cert_q,
         "warnings": result.warnings,

@@ -364,6 +364,8 @@ class RootList:
         roots = np.array([r for r, _ in self.entries], dtype=complex)
         mults = [m for _, m in self.entries]
         total = sum(mults)
+        if total == len(mults):  # every multiplicity 1: nothing to repeat
+            return roots
         if total <= sys.maxsize:  # numpy would wrap a larger count
             with contextlib.suppress(ValueError, MemoryError):  # numpy refuses it
                 return np.repeat(roots, mults)

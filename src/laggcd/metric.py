@@ -2,9 +2,9 @@
 
 The base metric rho on C^n is either the sum of coordinate moduli
 (solved exactly as a linear assignment problem) or the max of coordinate
-moduli (solved as a bottleneck assignment). Scaling a polynomial leaves
-its roots unchanged, so the distance of cf to f is zero; this is a
-pseudometric, not a metric.
+moduli (a bottleneck assignment, searched with linear assignments on 0/1
+costs). Scaling a polynomial leaves its roots unchanged, so the distance
+of cf to f is zero; this is a pseudometric, not a metric.
 
 Both rhos pair the coordinates that f and g share exactly (equal as
 complex numbers, so -0.0 pairs with 0.0, counted as multisets) first, at
@@ -42,8 +42,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InvalidParameterError, LengthMismatchError
 from .lagpoly import RootList, _complex_array
@@ -77,19 +75,16 @@ def _bottleneck(dist: np.ndarray) -> float:
     No perfect matching beats lb, the largest of the row and column
     minima, and lb is an entry of dist; it is probed first and is the
     answer on well-separated data. Otherwise the binary search runs over
-    the distinct entries above lb only. (With NaN entries lb is NaN and
-    the search covers every entry.)
+    the distinct entries above lb only (every entry where NaN makes lb
+    NaN). A probe t is one linear assignment on the 0/1 costs of the
+    entries beyond t, NaN ones included: on integer costs it is exact, and
+    it picks none of them exactly when a perfect matching within t exists.
     """
-    n = dist.shape[0]
 
     def feasible(t: float) -> bool:
-        # the CSR of the mask dist <= t, built from its row-major nonzeros
-        rows, cols = np.nonzero(dist <= t)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        adj = csr_matrix((np.ones(len(cols), dtype=bool), cols, indptr), shape=(n, n))
-        match = maximum_bipartite_matching(adj, perm_type="column")
-        return int((match >= 0).sum()) == n
+        beyond = ~(dist <= t)
+        rows, cols = linear_sum_assignment(beyond)
+        return not beyond[rows, cols].any()
 
     lb = max(dist.min(axis=1).max(), dist.min(axis=0).max())
     if feasible(lb):

@@ -557,6 +557,59 @@ class TestJsonWriter:
             assert text.isascii()
 
 
+def strict_json(text):
+    """text parsed as RFC 8259 JSON: NaN and Infinity are errors."""
+
+    def reject(token):
+        raise ValueError("not JSON: %s" % token)
+
+    return json.loads(text, parse_constant=reject)
+
+
+def overflowing_residual_problem(tmp_path):
+    """Uniform random values, seed 7, on 101 Chebyshev nodes, times 2**1000:
+    Aberth finds every root, and a residual passes the double range."""
+    x = np.cos((2 * np.arange(101) + 1) * np.pi / 202)
+    y = np.random.default_rng(7).random(101) * 2.0**1000
+    obj = {"px": x.tolist(), "py": y.tolist(), "qx": x.tolist(), "qy": y.tolist(), "sigma": 1e-6}
+    return write_json(tmp_path, "overflow.json", obj)
+
+
+class TestStrictJson:
+    """roots and agcd write null, not Infinity, for a number past the
+    double range."""
+
+    def test_residual_past_the_double_range_is_null(self, capsys, tmp_path):
+        path = overflowing_residual_problem(tmp_path)
+        code, out, _ = run(capsys, ["roots", path])
+        assert code == 0
+        got = [entry["residual"] for entry in strict_json(out)["roots"]]
+        pf = cli.load_problem(path)
+        want = roots(LagrangePoly(pf.px, pf.py)).residuals
+        assert not np.isfinite(want).all()
+        assert got == [float(r) if np.isfinite(r) else None for r in want]
+
+    def test_agcd_output_parses_strictly(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["agcd", overflowing_residual_problem(tmp_path)])
+        assert code == 0
+        strict_json(out)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_infinite_distance_is_null(self, capsys, problem_file, monkeypatch, side):
+        def infinite_distance(*args, **kwargs):
+            result = approximate_gcd(*args, **kwargs)
+            setattr(result, "dist_" + side, float("inf"))
+            return result
+
+        monkeypatch.setattr(cli, "approximate_gcd", infinite_distance)
+        code, out, _ = run(capsys, ["agcd", problem_file])
+        assert code == 0
+        payload = strict_json(out)
+        other = "q" if side == "p" else "p"
+        assert payload["dist_" + side] is None
+        assert isinstance(payload["dist_" + other], float)
+
+
 class TestSharedParser:
     """main builds its parser once and may be called repeatedly."""
 

@@ -487,6 +487,43 @@ class TestRootList:
             RootList(entries())
 
 
+class TestExpand:
+    """RootList.expand gives np.repeat's array over the entries, a fresh
+    one on every call."""
+
+    ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0))
+
+    def entries(self, case):
+        rng = np.random.default_rng(31)
+        mults = rng.integers(1, 4, 16)
+        return {
+            "all_ones": [(complex(r), 1) for r in cloud(rng, 16)],
+            "mixed": [(complex(r), int(m)) for r, m in zip(cloud(rng, 16), mults)],
+            "empty": [],
+            "signed_zeros": [(z, 1) for z in self.ZEROS],
+            "signed_zeros_mixed": [(z, m) for z, m in zip(self.ZEROS, (1, 2, 1, 3))],
+        }[case]
+
+    @pytest.mark.parametrize(
+        "case", ["all_ones", "mixed", "empty", "signed_zeros", "signed_zeros_mixed"]
+    )
+    def test_matches_np_repeat(self, case):
+        roots = RootList(self.entries(case))
+        want = np.repeat(
+            np.array([r for r, _ in roots], dtype=complex), [m for _, m in roots]
+        )
+        got = roots.expand()
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert bits(got) == bits(want)
+        # fresh and writeable on every call; writing to it leaves the list as it was
+        again = roots.expand()
+        assert got.flags.writeable and again.flags.writeable
+        assert not np.shares_memory(got, again)
+        got[:] = complex(7.0, -7.0)
+        assert roots == RootList(self.entries(case))
+        assert bits(roots.expand()) == bits(want)
+
+
 # ---------------------------------------------------------------- reconstruct
 
 
@@ -1012,7 +1049,8 @@ def certificate_pair(rng, n, groups):
 
 class TestBottleneck:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
+    # 48: root_clouds' unshared block; 128: the pair-first threshold
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 48, 64, 128, 256])
     def test_random_root_vectors(self, n, complex_):
         rng = np.random.default_rng([9, n])
         for _ in range(5):
